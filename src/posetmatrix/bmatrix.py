@@ -95,7 +95,7 @@ class BoolMatrix:
             row_strings = obj["rows"]
         except (TypeError, KeyError) as exc:
             raise ValueError("matrix JSON needs the fields 'n' and 'rows'") from exc
-        if not isinstance(n, int) or not isinstance(row_strings, list) or len(row_strings) != n:
+        if type(n) is not int or not isinstance(row_strings, list) or len(row_strings) != n:
             raise NotSquareError("field 'n' disagrees with the number of rows")
         m = cls.from_text("\n".join(str(s) for s in row_strings))
         if m.n != n:
@@ -162,13 +162,20 @@ def permute_similar(a: BoolMatrix, q: Permutation) -> BoolMatrix:
     """Conjugate a by q: entry (q(i), q(j)) of the result is entry (i, j) of a."""
     if q.n != a.n:
         raise ValueError(f"permutation on {q.n} points cannot act on a {a.n}x{a.n} matrix")
-    rows = [0] * a.n
-    for i, row in enumerate(a.rows):
+    return permute(a, q, q)
+
+
+def permute(m: BoolMatrix, row_perm: Permutation, col_perm: Permutation) -> BoolMatrix:
+    """Permute rows and columns independently; entry (i, j) moves to (row_perm(i), col_perm(j))."""
+    if row_perm.n != m.n or col_perm.n != m.n:
+        raise ValueError("permutation sizes must match the matrix side")
+    rows = [0] * m.n
+    for i, row in enumerate(m.rows):
         moved = 0
         for j in iter_bits(row):
-            moved |= 1 << q.mapping[j]
-        rows[q.mapping[i]] = moved
-    return BoolMatrix(a.n, tuple(rows))
+            moved |= 1 << col_perm.mapping[j]
+        rows[row_perm.mapping[i]] = moved
+    return BoolMatrix(m.n, tuple(rows))
 
 
 def flip_transpose(a: BoolMatrix) -> BoolMatrix:

@@ -66,9 +66,23 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _open_cache(args) -> ResultCache | None:
+def _cached(args, key: str, compute) -> dict:
+    """Value for key from the --cache-dir cache, or compute() stored there on a miss.
+
+    The cache is best-effort: a failed write is a warning and the value is kept.
+    """
     directory = args.cache_dir or os.environ.get("PM_CACHE_DIR")
-    return ResultCache(directory) if directory else None
+    if not directory:
+        return compute()
+    cache = ResultCache(directory)
+    value = cache.get(key)
+    if value is None:
+        value = compute()
+        try:
+            cache.put(key, value)
+        except OSError as exc:
+            print(f"pm: warning: result not cached: {exc}", file=sys.stderr)
+    return value
 
 
 # ---- subcommand handlers ---------------------------------------------------
@@ -86,16 +100,15 @@ def _failure_obj(exc: Exception) -> dict:
 
 def _cmd_validate(args) -> int:
     text = _read_source(args.source)
-    fmt = "json" if args.json else args.format
     try:
         a = validate(_parse_matrix(text))
     except ValueError as exc:
-        if fmt == "json":
+        if args.format == "json":
             _emit_json({"valid": False, "error": _failure_obj(exc)})
         else:
             print(f"pm: {exc}", file=sys.stderr)
         return 1
-    if fmt == "json":
+    if args.format == "json":
         _emit_json({"valid": True, "n": a.n})
     else:
         print(f"valid poset matrix (n={a.n})")
@@ -147,16 +160,14 @@ def _cmd_enumerate(args) -> int:
     if args.emit == "counts":
         if n > MAX_CLASS_SIDE:
             raise ValueError(f"count emission includes class counts and supports n up to {MAX_CLASS_SIDE}")
-        cache = _open_cache(args)
-        key = f"enumerate:n={n}:emit=counts"
-        value = cache.get(key) if cache else None
-        if value is None:
-            value = {
+        value = _cached(
+            args,
+            f"enumerate:n={n}:emit=counts",
+            lambda: {
                 "poset_matrices": count_poset_matrices(n, jobs=args.jobs),
                 "isomorphism_classes": count_isomorphism_classes(n, jobs=args.jobs),
-            }
-            if cache:
-                cache.put(key, value)
+            },
+        )
         if args.format == "json":
             _emit_json({"n": n, **value})
         else:
@@ -228,14 +239,7 @@ def _cmd_ideals(args) -> int:
             for a, i, f in triples:
                 print(json.dumps({"antichain": list(a), "ideal": list(i), "fixed_point": f}))
         return 0
-    cache = _open_cache(args)
-    key = f"ideals:n={n}"
-    value = cache.get(key) if cache else None
-    if value is None:
-        value = {"count": count_ideals(n, jobs=args.jobs)}
-        if cache:
-            cache.put(key, value)
-    count = value["count"]
+    count = _cached(args, f"ideals:n={n}", lambda: {"count": count_ideals(n)})["count"]
     scanned = None
     if args.check_fixed_points:
         scanned = count_fixed_points(n)
@@ -285,9 +289,19 @@ def _cmd_selftest(args) -> int:
 # ---- parser ----------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("text", "json"), default="text", help="output format")
-    sub.add_argument("--jobs", type=int, default=1, help="worker processes for the big counts")
+    sub.add_argument("--jobs", type=_positive_int, default=1, help="worker processes for enumerate counts from n = 7")
     sub.add_argument(
         "--cache-dir",
         default=None,
@@ -305,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("validate", help="check that a Boolean matrix is a poset matrix")
     p.add_argument("source", metavar="file|-", help="matrix file (text or JSON), or - for stdin")
-    p.add_argument("--json", action="store_true", help="structured diagnostics (same as --format json)")
     _common_flags(p)
     p.set_defaults(handler=_cmd_validate)
 

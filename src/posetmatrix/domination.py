@@ -13,8 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bmatrix import BoolMatrix, Permutation, iter_bits
-from .pascal import check_index_vector
+from .bmatrix import BoolMatrix, permute  # permute is re-exported
+from .pascal import _subset_rows, check_index_vector
 from .posetcore import PosetMatrix, validate
 
 DEFAULT_ORBIT_BUDGET = 10**6
@@ -77,6 +77,20 @@ def _row_pairs_match(rows: Sequence[int], i: int, base: set[tuple[int, int]]) ->
     return True
 
 
+def _changeable(rows: Sequence[int]) -> list[tuple[int, int]]:
+    """Row-major positions whose single flip leaves every pairwise row domination intact."""
+    rows = list(rows)
+    base = _profile(rows)
+    out = []
+    for i, original in enumerate(rows):
+        for j in range(len(rows)):
+            rows[i] = original ^ (1 << j)
+            if _row_pairs_match(rows, i, base):
+                out.append((i, j))
+        rows[i] = original
+    return out
+
+
 def changeable_entries(m: BoolMatrix) -> frozenset[tuple[int, int]]:
     """Positions whose single flip leaves every pairwise row domination intact.
 
@@ -85,17 +99,7 @@ def changeable_entries(m: BoolMatrix) -> frozenset[tuple[int, int]]:
     changeable, but a below-diagonal zero may be: (2, 1) of rows (1, 3, 4)
     flips to rows (1, 3, 6) with the single domination pair (0, 1) intact.
     """
-    rows = list(m.rows)
-    base = _profile(rows)
-    out = set()
-    for i in range(m.n):
-        original = rows[i]
-        for j in range(m.n):
-            rows[i] = original ^ (1 << j)
-            if _row_pairs_match(rows, i, base):
-                out.add((i, j))
-        rows[i] = original
-    return frozenset(out)
+    return frozenset(_changeable(m.rows))
 
 
 def flip_entry(m: BoolMatrix, i: int, j: int) -> BoolMatrix:
@@ -110,19 +114,6 @@ def flip_entry(m: BoolMatrix, i: int, j: int) -> BoolMatrix:
     return BoolMatrix(m.n, tuple(rows))
 
 
-def permute(m: BoolMatrix, row_perm: Permutation, col_perm: Permutation) -> BoolMatrix:
-    """Permute rows and columns independently; entry (i, j) moves to (row_perm(i), col_perm(j))."""
-    if row_perm.n != m.n or col_perm.n != m.n:
-        raise ValueError("permutation sizes must match the matrix side")
-    rows = [0] * m.n
-    for i, row in enumerate(m.rows):
-        moved = 0
-        for j in iter_bits(row):
-            moved |= 1 << col_perm.mapping[j]
-        rows[row_perm.mapping[i]] = moved
-    return BoolMatrix(m.n, tuple(rows))
-
-
 def reduce_to_poset_matrix(m: BoolMatrix) -> PosetMatrix:
     """Collapse an incidence matrix with increasing rows to the poset of its row dominations.
 
@@ -134,14 +125,7 @@ def reduce_to_poset_matrix(m: BoolMatrix) -> PosetMatrix:
     for a, b in zip(rows, rows[1:]):
         if a >= b:
             raise ValueError("rows not in increasing integer order; permute rows first")
-    out = []
-    for ri in rows:
-        picked = 0
-        for j, rj in enumerate(rows):
-            if rj & ~ri == 0:
-                picked |= 1 << j
-        out.append(picked)
-    return validate(BoolMatrix(m.n, tuple(out)))
+    return validate(BoolMatrix(m.n, _subset_rows(rows)))
 
 
 @dataclass(frozen=True)
@@ -181,14 +165,10 @@ def _orbit_moves(state: tuple[int, ...], n: int) -> Iterable[tuple[int, ...]]:
                     moved |= b1
                 swapped.append(moved)
             moves.append(tuple(sorted(swapped)))
-    base = _profile(rows)
-    for i in range(n):
-        original = rows[i]
-        for j in range(n):
-            rows[i] = original ^ (1 << j)
-            if _row_pairs_match(rows, i, base):
-                moves.append(tuple(sorted(rows)))
-        rows[i] = original
+    for i, j in _changeable(rows):
+        flipped = list(rows)
+        flipped[i] ^= 1 << j
+        moves.append(tuple(sorted(flipped)))
     return moves
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ MAX_ENUM_SIDE = 8
 MAX_CLASS_SIDE = 7
 MAX_CLASSIFY_SIDE = 4
 
-_PARALLEL_MIN_SIDE = 5
+_PARALLEL_MIN_SIDE = 7
 _PREFIX_DEPTH = 4
 
 # ---- generation ----------------------------------------------------------
@@ -72,6 +73,11 @@ def _count_below(prefix: tuple[int, ...], n: int) -> int:
     return sum(_count_below(ext, n) for ext in _extensions(prefix))
 
 
+def _pool_size(jobs: int, n: int) -> int:
+    """Worker processes for a count at side n: 1 (serial) below the threshold, else jobs capped at the CPU count."""
+    return 1 if n < _PARALLEL_MIN_SIDE else max(1, min(jobs, os.cpu_count() or 1))
+
+
 def _count_task(args: tuple[tuple[int, ...], int]) -> int:
     prefix, n = args
     return _count_below(prefix, n)
@@ -81,10 +87,11 @@ def count_poset_matrices(n: int, jobs: int = 1) -> int:
     """Number of n x n poset matrices."""
     if not 0 <= n <= MAX_ENUM_SIDE:
         raise ValueError(f"enumeration supports n in [0, {MAX_ENUM_SIDE}], got {n}")
-    if jobs <= 1 or n < _PARALLEL_MIN_SIDE:
+    workers = _pool_size(jobs, n)
+    if workers == 1:
         return _count_below((), n)
     tasks = [(p, n) for p in _prefixes(n, _PREFIX_DEPTH)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(_count_task, tasks, chunksize=4))
 
 
@@ -180,11 +187,12 @@ def count_isomorphism_classes(n: int, jobs: int = 1) -> int:
     """Number of isomorphism classes of n-element posets."""
     if not 0 <= n <= MAX_CLASS_SIDE:
         raise ValueError(f"class counting supports n in [0, {MAX_CLASS_SIDE}], got {n}")
-    if jobs <= 1 or n < _PARALLEL_MIN_SIDE:
+    workers = _pool_size(jobs, n)
+    if workers == 1:
         return len({_canonical_rows(rows)[0] for rows in _complete((), n)})
     tasks = [(p, n) for p in _prefixes(n, _PREFIX_DEPTH)]
     seen: set[tuple[int, ...]] = set()
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_canon_task, tasks, chunksize=4):
             seen.update(part)
     return len(seen)

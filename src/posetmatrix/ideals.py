@@ -7,19 +7,15 @@ i is in the subset.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from typing import Iterator
 
 from .bmatrix import identity, iter_bits
-from .pascal import check_index_vector, induced_submatrix, pascal_matrix
+from .pascal import _submask_row, check_index_vector, induced_submatrix, pascal_matrix
 
 MAX_COUNT_GROUND = 32
 MAX_SCAN_GROUND = 20
 MAX_DEDEKIND_EXP = 5
-
-_PARALLEL_MIN_GROUND = 13
-_PARALLEL_SPLIT = 12
 
 
 def _check_mask(mask: int, n: int) -> None:
@@ -31,13 +27,7 @@ def principal_ideal(i: int, n: int) -> int:
     """Mask of everything at or below i in the support order: the submasks of i."""
     if not 0 <= i < n:
         raise ValueError(f"element {i} outside a ground set of size {n}")
-    mask = 0
-    s = i
-    while True:
-        mask |= 1 << s
-        if s == 0:
-            return mask
-        s = (s - 1) & i
+    return _submask_row(i)
 
 
 def is_ideal(mask: int, n: int) -> bool:
@@ -89,12 +79,8 @@ def _column_masks(n: int) -> tuple[int, ...]:
     """For each column j of the Pascal matrix, the mask of rows i with a 1 at (i, j)."""
     cols = [0] * n
     for i in range(n):
-        s = i
-        while True:
+        for s in iter_bits(_submask_row(i)):
             cols[s] |= 1 << i
-            if s == 0:
-                break
-            s = (s - 1) & i
     return tuple(cols)
 
 
@@ -126,21 +112,10 @@ def _count_tail(preds: tuple[int, ...], i: int, chosen: int, n: int) -> int:
     return total
 
 
-def _ideal_count_task(args: tuple[int, int, int]) -> int:
-    n, start, chosen = args
-    return _count_tail(_pred_masks(n), start, chosen, n)
-
-
-def count_ideals(n: int, jobs: int = 1) -> int:
+def count_ideals(n: int) -> int:
     """Number of downward-closed subsets of the size-n Pascal poset."""
     if not 0 <= n <= MAX_COUNT_GROUND:
         raise ValueError(f"ideal counting supports n in [0, {MAX_COUNT_GROUND}], got {n}")
-    if jobs > 1 and n >= _PARALLEL_MIN_GROUND:
-        # Every ideal restricted to the first elements is an ideal of the
-        # smaller poset, so those restrictions partition the search space.
-        tasks = [(n, _PARALLEL_SPLIT, chosen) for chosen in iter_ideals(_PARALLEL_SPLIT)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return sum(pool.map(_ideal_count_task, tasks, chunksize=8))
     return _count_tail(_pred_masks(n), 0, 0, n)
 
 

@@ -74,6 +74,18 @@ def check_index_vector(alpha: Iterable[int], universe: int) -> tuple[int, ...]:
     return entries
 
 
+def _subset_rows(entries: Sequence[int]) -> tuple[int, ...]:
+    """Subset-order rows on entries: bit j of row i is set when entries[j] is a submask of entries[i]."""
+    rows = []
+    for r in entries:
+        picked = 0
+        for c, other in enumerate(entries):
+            if other & ~r == 0:
+                picked |= 1 << c
+        rows.append(picked)
+    return tuple(rows)
+
+
 def induced_submatrix(m: BoolMatrix, alpha: Sequence[int]) -> BoolMatrix:
     """Principal submatrix of m on the rows and columns selected by alpha."""
     entries = check_index_vector(alpha, m.n)

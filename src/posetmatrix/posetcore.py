@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .bmatrix import BoolMatrix, flip_transpose, iter_bits
-from .pascal import check_index_vector
+from .pascal import _subset_rows, check_index_vector
 
 # Embedded vectors index into the Pascal matrix of side 2**n; with rows held
 # in 64-bit masks that caps n at 6.
@@ -115,14 +115,7 @@ def realize(alpha: Sequence[int], ambient_log: int) -> PosetMatrix:
     if not 0 <= ambient_log <= MAX_EMBED_LOG:
         raise ValueError(f"ambient exponent must be in [0, {MAX_EMBED_LOG}], got {ambient_log}")
     entries = check_index_vector(alpha, 1 << ambient_log)
-    rows = []
-    for r in entries:
-        picked = 0
-        for c, other in enumerate(entries):
-            if other & ~r == 0:
-                picked |= 1 << c
-        rows.append(picked)
-    return validate(BoolMatrix(len(entries), tuple(rows)))
+    return validate(BoolMatrix(len(entries), _subset_rows(entries)))
 
 
 def dual(a: PosetMatrix) -> PosetMatrix:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from posetmatrix.bmatrix import (
     is_idempotent,
     iter_bits,
     parse_index_vector,
+    permute,
     permute_similar,
 )
 
@@ -230,6 +232,20 @@ def test_permute_similar_round_trip(pair):
 def test_permute_similar_size_mismatch():
     with pytest.raises(ValueError):
         permute_similar(identity(3), Permutation((1, 0)))
+
+
+def test_permute_similar_is_permute_with_equal_factors():
+    # Every matrix of side <= 3 and a seeded sample of side 4, under every q.
+    rng = random.Random(11)
+    for n in range(5):
+        if n <= 3:
+            matrices = [BoolMatrix(n, rows) for rows in itertools.product(range(1 << n), repeat=n)]
+        else:
+            matrices = [random_matrix(rng, n) for _ in range(300)]
+        for mapping in itertools.permutations(range(n)):
+            q = Permutation(mapping)
+            for m in matrices:
+                assert permute_similar(m, q) == permute(m, q, q)
 
 
 # ---- flip transpose ----

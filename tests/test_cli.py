@@ -35,7 +35,7 @@ def test_validate_ok(tmp_path, capsys):
 
 def test_validate_json_diagnostics(tmp_path, capsys):
     path = write_matrix(tmp_path, CHAIN_BAD)
-    out = run_cli(capsys, "validate", path, "--json", expect=1)
+    out = run_cli(capsys, "validate", path, "--format", "json", expect=1)
     obj = json.loads(out.out)
     assert obj == {"valid": False, "error": {"kind": "not-transitive", "witness": [2, 1, 0]}}
 
@@ -48,13 +48,13 @@ def test_validate_json_ok(tmp_path, capsys):
 
 def test_validate_not_unit_lower_triangular(tmp_path, capsys):
     path = write_matrix(tmp_path, "11\n01\n")
-    out = run_cli(capsys, "validate", path, "--json", expect=1)
+    out = run_cli(capsys, "validate", path, "--format", "json", expect=1)
     assert json.loads(out.out)["error"] == {"kind": "not-unit-lower-triangular", "position": [0, 1]}
 
 
 def test_validate_not_square(tmp_path, capsys):
     path = write_matrix(tmp_path, "10\n110\n")
-    out = run_cli(capsys, "validate", path, "--json", expect=1)
+    out = run_cli(capsys, "validate", path, "--format", "json", expect=1)
     assert json.loads(out.out)["error"]["kind"] == "not-square"
 
 
@@ -62,6 +62,11 @@ def test_validate_json_matrix_input(tmp_path, capsys):
     path = write_matrix(tmp_path, json.dumps({"n": 2, "rows": ["10", "11"]}))
     out = run_cli(capsys, "validate", path)
     assert "valid poset matrix" in out.out
+
+
+def test_validate_rejects_boolean_side(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"n": true, "rows": ["1"]}'))
+    run_cli(capsys, "validate", "-", expect=1)
 
 
 def test_missing_file_is_io_error(capsys):
@@ -275,6 +280,19 @@ def test_cache_corruption_recomputes(tmp_path, capsys):
     assert out.out == "39\n"  # checksum mismatch forces recomputation
 
 
+@pytest.mark.parametrize("below", ["sub", None])
+def test_cache_dir_blocked_by_regular_file(tmp_path, capsys, below):
+    # A regular file as the cache directory, or as its parent: the count is
+    # still printed and the failed write is only a warning.
+    blocker = tmp_path / "afile"
+    blocker.write_text("a regular file\n")
+    cache_dir = blocker / below if below else blocker
+    out = run_cli(capsys, "ideals", "--n", "9", "--cache-dir", str(cache_dir))
+    assert out.out == "39\n"
+    assert out.err.startswith("pm: warning: ") and "Traceback" not in out.err
+    assert blocker.read_text() == "a regular file\n"
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PM_CACHE_DIR", str(tmp_path / "envcache"))
     run_cli(capsys, "enumerate", "--n", "3", "--emit", "counts")
@@ -288,6 +306,14 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["enumerate"])  # missing required --n
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5", "two"])
+def test_jobs_must_be_positive(capsys, jobs):
+    with pytest.raises(SystemExit) as info:
+        main(["ideals", "--n", "5", "--jobs", jobs])
+    assert info.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_jobs_output_identical(capsys):

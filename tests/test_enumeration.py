@@ -1,8 +1,10 @@
 import itertools
+import os
 import random
 
 import pytest
 
+from posetmatrix import enumeration
 from posetmatrix.bmatrix import BoolMatrix, Permutation, identity, is_idempotent, permute_similar
 from posetmatrix.enumeration import (
     canonical_form,
@@ -96,9 +98,48 @@ def test_enumeration_bounds():
         list(enumerate_poset_matrices(-1))
 
 
-def test_parallel_count_matches_serial():
+def test_parallel_count_matches_serial(monkeypatch):
+    # Lower the pool threshold so a real two-worker pool runs at n = 5.
+    monkeypatch.setattr(enumeration, "_PARALLEL_MIN_SIDE", 5)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert count_poset_matrices(5, jobs=2) == count_poset_matrices(5)
     assert count_isomorphism_classes(5, jobs=2) == count_isomorphism_classes(5)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap the process pool for an in-process stand-in; the list collects each max_workers asked for."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+@pytest.mark.parametrize("cpus, jobs, expected", [(2, 64, [2, 2]), (4, 3, [3, 3]), (None, 8, []), (2, 1, [])])
+def test_pool_size_is_capped_at_cpu_count(monkeypatch, pool_sizes, cpus, jobs, expected):
+    monkeypatch.setattr(enumeration, "_PARALLEL_MIN_SIDE", 4)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert count_poset_matrices(5, jobs=jobs) == 357
+    assert count_isomorphism_classes(5, jobs=jobs) == 63
+    assert pool_sizes == expected
+
+
+def test_pool_unused_below_threshold(pool_sizes):
+    assert count_poset_matrices(6, jobs=2) == 4824
+    assert pool_sizes == []
 
 
 # ---- canonical forms ----

@@ -159,11 +159,6 @@ def test_ideal_count_more_values():
         assert count_ideals(n) == count_fixed_points(n)
 
 
-def test_ideal_count_parallel_matches_serial():
-    for n in (13, 16):
-        assert count_ideals(n, jobs=2) == count_ideals(n)
-
-
 def test_ideal_count_bounds():
     with pytest.raises(ValueError):
         count_ideals(33)
