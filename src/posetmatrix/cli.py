@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from itertools import islice
 
 from . import __version__, refdata
 from .bmatrix import BoolMatrix, NotSquareError, format_index_vector, parse_index_vector
@@ -20,6 +21,7 @@ from .cache import ResultCache
 from .domination import OrbitResult, DEFAULT_ORBIT_BUDGET, domination_orbit
 from .enumeration import (
     MAX_CLASS_SIDE,
+    _class_level,
     canonical_labelling,
     count_isomorphism_classes,
     count_poset_matrices,
@@ -64,6 +66,19 @@ def _parse_matrix(text: str) -> BoolMatrix:
 
 def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2))
+
+
+def _emit_json_list(head: dict, field: str, items) -> None:
+    """Print _emit_json({**head, field: list(items)}) while holding only a batch of items at a time."""
+    encode = json.JSONEncoder(indent=2).encode
+    sys.stdout.write(f"{encode(head)[:-2]},\n  {encode(field)}: [")
+    sep = "\n  "
+    items = iter(items)
+    while batch := list(islice(items, 1024)):
+        # encode(batch) is "[\n  item,\n  item\n]": drop the brackets, indent one level deeper
+        sys.stdout.write(sep + encode(batch)[2:-2].replace("\n", "\n  "))
+        sep = ",\n  "
+    sys.stdout.write("]\n}\n" if sep == "\n  " else "\n  ]\n}\n")
 
 
 def _cached(args, key: str, compute) -> dict:
@@ -164,8 +179,8 @@ def _cmd_enumerate(args) -> int:
             args,
             f"enumerate:n={n}:emit=counts",
             lambda: {
-                "poset_matrices": count_poset_matrices(n, jobs=args.jobs),
-                "isomorphism_classes": count_isomorphism_classes(n, jobs=args.jobs),
+                "poset_matrices": count_poset_matrices(n),
+                "isomorphism_classes": count_isomorphism_classes(n),
             },
         )
         if args.format == "json":
@@ -175,17 +190,21 @@ def _cmd_enumerate(args) -> int:
             print(f"isomorphism classes: {value['isomorphism_classes']}")
         return 0
     if args.emit == "canonical":
-        if n > MAX_CLASS_SIDE:
-            raise ValueError(f"canonical emission supports n up to {MAX_CLASS_SIDE}, got {n}")
-        forms = sorted({canonical_labelling(a)[0].rows for a in enumerate_poset_matrices(n)})
-        blocks = [BoolMatrix(n, rows) for rows in forms]
+        if not 0 <= n <= MAX_CLASS_SIDE:
+            raise ValueError(f"canonical emission supports n in [0, {MAX_CLASS_SIDE}], got {n}")
+        blocks = (BoolMatrix(n, rows) for rows in sorted(_class_level(n)))
+        field = "canonical_forms"
     else:
-        blocks = [a.matrix for a in enumerate_poset_matrices(n)]
+        blocks = (a.matrix for a in enumerate_poset_matrices(n))
+        field = "matrices"
     if args.format == "json":
-        field = "canonical_forms" if args.emit == "canonical" else "matrices"
-        _emit_json({"n": n, field: [b.to_json_obj() for b in blocks]})
+        _emit_json_list({"n": n}, field, (b.to_json_obj() for b in blocks))
     else:
-        print("\n\n".join(b.to_text() for b in blocks))
+        sep = ""
+        for b in blocks:
+            sys.stdout.write(sep + b.to_text())
+            sep = "\n\n"
+        sys.stdout.write("\n")
     return 0
 
 
@@ -301,7 +320,7 @@ def _positive_int(text: str) -> int:
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("text", "json"), default="text", help="output format")
-    sub.add_argument("--jobs", type=_positive_int, default=1, help="worker processes for enumerate counts from n = 7")
+    sub.add_argument("--jobs", type=_positive_int, default=1, help="accepted and ignored (N >= 1); every command runs in one process")
     sub.add_argument(
         "--cache-dir",
         default=None,

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -15,11 +13,8 @@ from .pascal import check_index_vector
 from .posetcore import PosetMatrix, dual_index, realize
 
 MAX_ENUM_SIDE = 8
-MAX_CLASS_SIDE = 7
+MAX_CLASS_SIDE = 8
 MAX_CLASSIFY_SIDE = 4
-
-_PARALLEL_MIN_SIDE = 7
-_PREFIX_DEPTH = 4
 
 # ---- generation ----------------------------------------------------------
 
@@ -52,47 +47,12 @@ def enumerate_poset_matrices(n: int) -> Iterator[PosetMatrix]:
 
     Each row is chosen as a downward-closed set of earlier elements (it must
     contain the full row of everything it selects), so transitivity holds by
-    construction and no validation filter is needed.
+    construction and no validation filter is needed.  A side out of range
+    raises at the call, before anything is yielded.
     """
     if not 0 <= n <= MAX_ENUM_SIDE:
         raise ValueError(f"enumeration supports n in [0, {MAX_ENUM_SIDE}], got {n}")
-    for rows in _complete((), n):
-        yield PosetMatrix(BoolMatrix(n, rows))
-
-
-def _prefixes(n: int, depth: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = [()]
-    for _ in range(min(depth, n)):
-        out = [ext for p in out for ext in _extensions(p)]
-    return out
-
-
-def _count_below(prefix: tuple[int, ...], n: int) -> int:
-    if len(prefix) == n:
-        return 1
-    return sum(_count_below(ext, n) for ext in _extensions(prefix))
-
-
-def _pool_size(jobs: int, n: int) -> int:
-    """Worker processes for a count at side n: 1 (serial) below the threshold, else jobs capped at the CPU count."""
-    return 1 if n < _PARALLEL_MIN_SIDE else max(1, min(jobs, os.cpu_count() or 1))
-
-
-def _count_task(args: tuple[tuple[int, ...], int]) -> int:
-    prefix, n = args
-    return _count_below(prefix, n)
-
-
-def count_poset_matrices(n: int, jobs: int = 1) -> int:
-    """Number of n x n poset matrices."""
-    if not 0 <= n <= MAX_ENUM_SIDE:
-        raise ValueError(f"enumeration supports n in [0, {MAX_ENUM_SIDE}], got {n}")
-    workers = _pool_size(jobs, n)
-    if workers == 1:
-        return _count_below((), n)
-    tasks = [(p, n) for p in _prefixes(n, _PREFIX_DEPTH)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_count_task, tasks, chunksize=4))
+    return (PosetMatrix(BoolMatrix(n, rows)) for rows in _complete((), n))
 
 
 # ---- canonical labelling -------------------------------------------------
@@ -114,11 +74,28 @@ def _canonical_rows(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, 
     element whose predecessors are all placed (so the result stays a poset
     matrix), candidates are tried in row-major bit-string order, and a branch
     dies as soon as its key prefix exceeds the incumbent's.
+
+    Twins (elements with equal predecessor and successor masks) are
+    interchangeable: swapping two unplaced twins is an automorphism fixing
+    every placed element, so a twin's subtree repeats, key for key, that of
+    the smaller twin, which is searched earlier.  A candidate is therefore
+    skipped while a smaller twin is unplaced; the first minimal leaf, and
+    with it the form and the witness, stay the same.
     """
     n = len(rows)
     if n == 0:
         return (), ()
     preds = [rows[i] ^ (1 << i) for i in range(n)]
+    succs = [0] * n
+    for i in range(n):
+        for p in iter_bits(preds[i]):
+            succs[p] |= 1 << i
+    smaller_twins = [0] * n
+    twins_so_far: dict[tuple[int, int], int] = {}
+    for e in range(n):
+        key = (preds[e], succs[e])
+        smaller_twins[e] = twins_so_far.get(key, 0)
+        twins_so_far[key] = smaller_twins[e] | (1 << e)
     pos_of = [-1] * n
     best_keys: list[int] | None = None
     best_rows: tuple[int, ...] = ()
@@ -138,7 +115,7 @@ def _canonical_rows(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, 
             return
         cands = []
         for e in range(n):
-            if used >> e & 1 or preds[e] & ~used:
+            if used >> e & 1 or (preds[e] | smaller_twins[e]) & ~used:
                 continue
             row = 1 << k
             for p in iter_bits(preds[e]):
@@ -178,24 +155,42 @@ def canonical_form(a: PosetMatrix) -> PosetMatrix:
     return canonical_labelling(a)[0]
 
 
-def _canon_task(args: tuple[tuple[int, ...], int]) -> set[tuple[int, ...]]:
-    prefix, n = args
-    return {_canonical_rows(rows)[0] for rows in _complete(prefix, n)}
+# ---- the class tree ------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _class_level(n: int) -> dict[tuple[int, ...], int]:
+    """Canonical rows of each n-element isomorphism class -> its number of natural labellings.
+
+    Every n-poset is an (n-1)-poset plus one maximal element whose strict
+    down-set is an order ideal, and the completions of a prefix depend only
+    on its class, so level n is built from the extensions of the level n-1
+    representatives, each weighted by its class's labelling count.
+    """
+    if n == 0:
+        return {(): 1}
+    level: dict[tuple[int, ...], int] = {}
+    for rows, weight in _class_level(n - 1).items():
+        for ext in _extensions(rows):
+            canon = _canonical_rows(ext)[0]
+            level[canon] = level.get(canon, 0) + weight
+    return level
+
+
+def count_poset_matrices(n: int, jobs: int = 1) -> int:
+    """Number of n x n poset matrices; jobs is accepted and ignored."""
+    if not 0 <= n <= MAX_ENUM_SIDE:
+        raise ValueError(f"enumeration supports n in [0, {MAX_ENUM_SIDE}], got {n}")
+    if n == 0:
+        return 1
+    return sum(w * sum(1 for _ in _extensions(c)) for c, w in _class_level(n - 1).items())
 
 
 def count_isomorphism_classes(n: int, jobs: int = 1) -> int:
-    """Number of isomorphism classes of n-element posets."""
+    """Number of isomorphism classes of n-element posets; jobs is accepted and ignored."""
     if not 0 <= n <= MAX_CLASS_SIDE:
         raise ValueError(f"class counting supports n in [0, {MAX_CLASS_SIDE}], got {n}")
-    workers = _pool_size(jobs, n)
-    if workers == 1:
-        return len({_canonical_rows(rows)[0] for rows in _complete((), n)})
-    tasks = [(p, n) for p in _prefixes(n, _PREFIX_DEPTH)]
-    seen: set[tuple[int, ...]] = set()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_canon_task, tasks, chunksize=4):
-            seen.update(part)
-    return len(seen)
+    return len(_class_level(n))
 
 
 # ---- index-vector classification -----------------------------------------

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from posetmatrix.bmatrix import BoolMatrix
 from posetmatrix.cli import main
+from posetmatrix.enumeration import canonical_form, enumerate_poset_matrices
 
 V_MATRIX = "100\n110\n101\n"
 CHAIN_BAD = "100\n110\n011\n"
@@ -151,7 +153,29 @@ def test_enumerate_canonical_json(capsys):
 
 
 def test_enumerate_counts_bound(capsys):
-    run_cli(capsys, "enumerate", "--n", "8", "--emit", "counts", expect=1)
+    run_cli(capsys, "enumerate", "--n", "9", "--emit", "counts", expect=1)
+
+
+@pytest.mark.parametrize("emit, field", [("matrices", "matrices"), ("canonical", "canonical_forms")])
+def test_enumerate_stream_equals_whole_list_output(capsys, emit, field):
+    # the records are written in batches (n = 6 spans several); build the whole list here instead
+    for n in range(7):
+        posets = list(enumerate_poset_matrices(n))
+        if emit == "canonical":
+            mats = [BoolMatrix(n, rows) for rows in sorted({canonical_form(a).rows for a in posets})]
+        else:
+            mats = [a.matrix for a in posets]
+        out = run_cli(capsys, "enumerate", "--n", str(n), "--emit", emit, "--format", "json")
+        assert out.out == json.dumps({"n": n, field: [m.to_json_obj() for m in mats]}, indent=2) + "\n"
+        out = run_cli(capsys, "enumerate", "--n", str(n), "--emit", emit)
+        assert out.out == "\n\n".join(m.to_text() for m in mats) + "\n"
+
+
+@pytest.mark.parametrize("n", ["-1", "9"])
+@pytest.mark.parametrize("emit", ["matrices", "canonical"])
+def test_enumerate_out_of_range_prints_nothing(capsys, emit, n):
+    out = run_cli(capsys, "enumerate", "--n", n, "--emit", emit, "--format", "json", expect=1)
+    assert out.out == ""
 
 
 def test_canonical_reports_witness(tmp_path, capsys):

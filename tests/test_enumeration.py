@@ -1,5 +1,4 @@
 import itertools
-import os
 import random
 
 import pytest
@@ -18,8 +17,10 @@ from posetmatrix.enumeration import (
 )
 from posetmatrix.posetcore import NotTransitiveError, dual, realize, validate
 
-POSET_MATRIX_COUNTS = [1, 1, 2, 7, 40, 357, 4824]
-CLASS_COUNTS = [1, 1, 2, 5, 16, 63, 318]
+A006455 = (1, 1, 2, 7, 40, 357, 4824, 96428, 2800472)  # naturally labelled posets, n = 0..8
+A000112 = (1, 1, 2, 5, 16, 63, 318, 2045)  # unlabelled posets, n = 0..7
+POSET_MATRIX_COUNTS = list(A006455[:7])
+CLASS_COUNTS = list(A000112[:7])
 
 
 def brute_force_count(n):
@@ -61,6 +62,92 @@ def scan_canonical(rows):
     return best[1]
 
 
+def unpruned_canonical_rows(rows):
+    """The canonical branch-and-bound without twin pruning: the reference for form and witness."""
+    n = len(rows)
+    if n == 0:
+        return (), ()
+    preds = [rows[i] ^ (1 << i) for i in range(n)]
+    pos_of = [-1] * n
+    best = [None, (), ()]
+
+    def key_of(row):
+        return sum(1 << (n - 1 - j) for j in range(n) if row >> j & 1)
+
+    def walk(order, used, keys, new_rows):
+        k = len(order)
+        if k == n:
+            if best[0] is None or keys < best[0]:
+                mapping = [0] * n
+                for pos, element in enumerate(order):
+                    mapping[element] = pos
+                best[:] = [list(keys), tuple(new_rows), tuple(mapping)]
+            return
+        cands = []
+        for e in range(n):
+            if used >> e & 1 or preds[e] & ~used:
+                continue
+            row = 1 << k
+            for p in range(n):
+                if preds[e] >> p & 1:
+                    row |= 1 << pos_of[p]
+            cands.append((key_of(row), row, e))
+        cands.sort()
+        for key, row, e in cands:
+            keys.append(key)
+            if best[0] is None or keys <= best[0][: k + 1]:
+                pos_of[e] = k
+                walk(order + [e], used | (1 << e), keys, new_rows + [row])
+                pos_of[e] = -1
+            keys.pop()
+
+    walk([], 0, [], [])
+    return best[1], best[2]
+
+
+def random_poset_rows(rng, n):
+    """A naturally labelled poset: each new row takes a random order ideal of the earlier elements."""
+    rows = ()
+    for _ in range(n):
+        rows = rng.choice(list(enumeration._extensions(rows)))
+    return rows
+
+
+def linear_extension_count(rows):
+    """e(P): ways to reach each down-set by adding one element whose predecessors are all present."""
+    n = len(rows)
+    preds = [row & ~(1 << i) for i, row in enumerate(rows)]
+    ways = [0] * (1 << n)
+    ways[0] = 1
+    for down in range(1 << n):
+        if ways[down]:
+            for e in range(n):
+                if not down >> e & 1 and not preds[e] & ~down:
+                    ways[down | 1 << e] += ways[down]
+    return ways[-1]
+
+
+def automorphism_count(rows):
+    """|Aut(P)| by direct search: bijections preserving the relation in both directions."""
+    n = len(rows)
+
+    def related(a, b):
+        return rows[a] >> b & 1
+
+    def extend(images):
+        k = len(images)
+        if k == n:
+            return 1
+        return sum(
+            extend(images + [t])
+            for t in range(n)
+            if t not in images
+            and all(related(k, j) == related(t, images[j]) and related(j, k) == related(images[j], t) for j in range(k))
+        )
+
+    return extend([])
+
+
 # ---- generation ----
 
 
@@ -98,48 +185,20 @@ def test_enumeration_bounds():
         list(enumerate_poset_matrices(-1))
 
 
-def test_parallel_count_matches_serial(monkeypatch):
-    # Lower the pool threshold so a real two-worker pool runs at n = 5.
-    monkeypatch.setattr(enumeration, "_PARALLEL_MIN_SIDE", 5)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert count_poset_matrices(5, jobs=2) == count_poset_matrices(5)
-    assert count_isomorphism_classes(5, jobs=2) == count_isomorphism_classes(5)
+def test_tree_count_matches_enumeration():
+    for n in range(8):
+        assert count_poset_matrices(n) == sum(1 for _ in enumerate_poset_matrices(n))
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Swap the process pool for an in-process stand-in; the list collects each max_workers asked for."""
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
-    return sizes
+def test_counts_pin_oeis():
+    assert [count_poset_matrices(n) for n in range(9)] == list(A006455)
+    assert [count_isomorphism_classes(n) for n in range(8)] == list(A000112)
 
 
-@pytest.mark.parametrize("cpus, jobs, expected", [(2, 64, [2, 2]), (4, 3, [3, 3]), (None, 8, []), (2, 1, [])])
-def test_pool_size_is_capped_at_cpu_count(monkeypatch, pool_sizes, cpus, jobs, expected):
-    monkeypatch.setattr(enumeration, "_PARALLEL_MIN_SIDE", 4)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert count_poset_matrices(5, jobs=jobs) == 357
-    assert count_isomorphism_classes(5, jobs=jobs) == 63
-    assert pool_sizes == expected
-
-
-def test_pool_unused_below_threshold(pool_sizes):
-    assert count_poset_matrices(6, jobs=2) == 4824
-    assert pool_sizes == []
+def test_class_counting_bounds():
+    for n in (-1, 9):
+        with pytest.raises(ValueError):
+            count_isomorphism_classes(n)
 
 
 # ---- canonical forms ----
@@ -156,6 +215,15 @@ def test_canonical_form_matches_full_scan_samples_n6():
     mats = [a for a in enumerate_poset_matrices(6)]
     for a in rng.sample(mats, 60):
         assert canonical_form(a).rows == scan_canonical(a.rows)
+
+
+def test_twin_pruning_keeps_form_and_witness():
+    rng = random.Random(2002)
+    cases = [a.rows for n in range(7) for a in enumerate_poset_matrices(n)]
+    cases += [random_poset_rows(rng, n) for n in (7, 8) for _ in range(60)]
+    cases += [tuple(1 << i for i in range(n)) for n in range(9)]
+    for rows in cases:
+        assert enumeration._canonical_rows(rows) == unpruned_canonical_rows(rows), rows
 
 
 def test_canonical_form_is_idempotent_map():
@@ -193,6 +261,26 @@ def test_class_count_equals_distinct_canonical_forms():
     for n in range(6):
         forms = {canonical_form(a).rows for a in enumerate_poset_matrices(n)}
         assert len(forms) == CLASS_COUNTS[n]
+
+
+def test_class_tree_is_the_set_of_canonical_forms():
+    for n in range(7):
+        assert set(enumeration._class_level(n)) == {canonical_form(a).rows for a in enumerate_poset_matrices(n)}
+
+
+def test_class_weights_are_labelling_counts():
+    # a class P has e(P) / |Aut(P)| natural labellings
+    for n in range(7):
+        level = enumeration._class_level(n)
+        for rows, weight in level.items():
+            assert weight * automorphism_count(rows) == linear_extension_count(rows), rows
+        assert sum(level.values()) == count_poset_matrices(n)
+
+
+def test_class_weights_match_classification():
+    for n in range(5):
+        sizes = {r.canonical.rows: r.class_size_labelled for r in classify_index_vectors(n)}
+        assert enumeration._class_level(n) == sizes
 
 
 # ---- index-vector classification ----
