@@ -58,7 +58,7 @@ def _parse_matrix(text: str) -> BoolMatrix:
     if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise ValueError(f"bad matrix JSON: {exc}") from exc
         return BoolMatrix.from_json_obj(obj)
     return BoolMatrix.from_text(text)
@@ -242,21 +242,12 @@ def _cmd_orbit(args) -> int:
 def _cmd_ideals(args) -> int:
     n = args.n
     if args.list_triples:
-        triples = antichain_table(n)
+        records = [{"antichain": list(a), "ideal": list(i), "fixed_point": f} for a, i, f in antichain_table(n)]
         if args.format == "json":
-            _emit_json(
-                {
-                    "n": n,
-                    "count": len(triples),
-                    "ideals": [
-                        {"antichain": list(a), "ideal": list(i), "fixed_point": f}
-                        for a, i, f in triples
-                    ],
-                }
-            )
+            _emit_json({"n": n, "count": len(records), "ideals": records})
         else:
-            for a, i, f in triples:
-                print(json.dumps({"antichain": list(a), "ideal": list(i), "fixed_point": f}))
+            for record in records:
+                print(json.dumps(record))
         return 0
     count = _cached(args, f"ideals:n={n}", lambda: {"count": count_ideals(n)})["count"]
     scanned = None
@@ -318,8 +309,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
+def _common_flags(sub: argparse.ArgumentParser, cached: bool = False) -> None:
     sub.add_argument("--format", choices=("text", "json"), default="text", help="output format")
+    if not cached:  # --jobs and --cache-dir belong to the subcommands that read the cache
+        return
     sub.add_argument("--jobs", type=_positive_int, default=1, help="accepted and ignored (N >= 1); every command runs in one process")
     sub.add_argument(
         "--cache-dir",
@@ -371,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="matrices",
         help="what to print (default: matrices)",
     )
-    _common_flags(p)
+    _common_flags(p, cached=True)
     p.set_defaults(handler=_cmd_enumerate)
 
     p = subs.add_parser("canonical", help="canonical form of a poset matrix plus a witness relabelling")
@@ -405,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check the count against the exhaustive fixed-point scan",
     )
-    _common_flags(p)
+    _common_flags(p, cached=True)
     p.set_defaults(handler=_cmd_ideals)
 
     p = subs.add_parser("dedekind", help="Dedekind number via the ideal count on 2**k elements")
@@ -421,13 +414,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.handler(args)
-    except CliIOError as exc:
-        print(f"pm: {exc}", file=sys.stderr)
+        args = build_parser().parse_args(argv)
+        try:
+            return args.handler(args)
+        except CliIOError as exc:
+            print(f"pm: {exc}", file=sys.stderr)
+            return 3
+        except ValueError as exc:
+            print(f"pm: {exc}", file=sys.stderr)
+            return 1
+        finally:
+            sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's exit flush
+    except BrokenPipeError:  # the reader left, as in `pm enumerate --n 6 | head`: drop the rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 3
-    except ValueError as exc:
-        print(f"pm: {exc}", file=sys.stderr)
-        return 1

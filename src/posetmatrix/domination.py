@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bmatrix import BoolMatrix, permute  # permute is re-exported
+from .bmatrix import BoolMatrix, iter_bits, permute  # permute is re-exported
 from .pascal import _subset_rows, check_index_vector
 from .posetcore import PosetMatrix, validate
 
@@ -49,46 +49,44 @@ def index_of(m: BoolMatrix) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _profile(rows: Sequence[int]) -> set[tuple[int, int]]:
-    """All ordered pairs (i, j), i != j, with row i entrywise at most row j."""
-    pairs = set()
-    for i, ri in enumerate(rows):
-        for j, rj in enumerate(rows):
-            if i != j and ri & ~rj == 0:
-                pairs.add((i, j))
-    return pairs
-
-
 def domination_relations(m: BoolMatrix) -> frozenset[tuple[int, int]]:
-    """Ordered pairs (i, j), i != j, where row i is dominated by row j."""
-    return frozenset(_profile(m.rows))
+    """Ordered pairs (i, j), i != j, where row i is dominated by row j: bit i of _subset_rows(rows)[j]."""
+    down = _subset_rows(m.rows)
+    return frozenset((i, j) for j in range(m.n) for i in iter_bits(down[j]) if i != j)
 
 
-def _row_pairs_match(rows: Sequence[int], i: int, base: set[tuple[int, int]]) -> bool:
-    """Pairs involving row i agree with base (only row i may have changed)."""
+def _changeable_columns(rows: Sequence[int], i: int) -> int:
+    """Mask of the columns j whose flip of entry (i, j) keeps every pairwise row domination.
+
+    A flip changes row i alone, so it keeps the profile exactly when it moves
+    no bit of row i's down-mask (the rows that are submasks of row i) or of
+    its up-mask (the rows that row i is a submask of).  Each other row k
+    blocks, from below, its own bits while it is a submask of row i, else
+    the one bit of it that row i lacks; and from above, the bits outside it
+    while row i is its submask, else the one bit of row i that it lacks.
+    """
+    full = (1 << len(rows)) - 1
     ri = rows[i]
+    blocked = 0
     for k, rk in enumerate(rows):
         if k == i:
             continue
-        if (ri & ~rk == 0) != ((i, k) in base):
-            return False
-        if (rk & ~ri == 0) != ((k, i) in base):
-            return False
-    return True
+        lacking = rk & ~ri  # bits of row k that row i lacks
+        if not lacking:
+            blocked |= rk  # row k is below row i: clearing one of its bits ends that
+        elif not lacking & (lacking - 1):
+            blocked |= lacking  # setting the one bit row i lacks puts row k below it
+        extra = ri & ~rk  # bits of row i that row k lacks
+        if not extra:
+            blocked |= full ^ rk  # row i is below row k: setting a bit outside row k ends that
+        elif not extra & (extra - 1):
+            blocked |= extra  # clearing the one extra bit puts row i below row k
+    return full & ~blocked
 
 
 def _changeable(rows: Sequence[int]) -> list[tuple[int, int]]:
     """Row-major positions whose single flip leaves every pairwise row domination intact."""
-    rows = list(rows)
-    base = _profile(rows)
-    out = []
-    for i, original in enumerate(rows):
-        for j in range(len(rows)):
-            rows[i] = original ^ (1 << j)
-            if _row_pairs_match(rows, i, base):
-                out.append((i, j))
-        rows[i] = original
-    return out
+    return [(i, j) for i in range(len(rows)) for j in iter_bits(_changeable_columns(rows, i))]
 
 
 def changeable_entries(m: BoolMatrix) -> frozenset[tuple[int, int]]:
@@ -106,11 +104,10 @@ def flip_entry(m: BoolMatrix, i: int, j: int) -> BoolMatrix:
     """Toggle entry (i, j), refusing flips that would alter the domination profile."""
     if not (0 <= i < m.n and 0 <= j < m.n):
         raise ValueError(f"entry ({i}, {j}) outside a {m.n}x{m.n} matrix")
-    base = _profile(m.rows)
+    if not _changeable_columns(m.rows, i) >> j & 1:
+        raise NotChangeableError(i, j)
     rows = list(m.rows)
     rows[i] ^= 1 << j
-    if not _row_pairs_match(rows, i, base):
-        raise NotChangeableError(i, j)
     return BoolMatrix(m.n, tuple(rows))
 
 

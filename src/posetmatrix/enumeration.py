@@ -177,8 +177,8 @@ def _class_level(n: int) -> dict[tuple[int, ...], int]:
     return level
 
 
-def count_poset_matrices(n: int, jobs: int = 1) -> int:
-    """Number of n x n poset matrices; jobs is accepted and ignored."""
+def count_poset_matrices(n: int) -> int:
+    """Number of n x n poset matrices."""
     if not 0 <= n <= MAX_ENUM_SIDE:
         raise ValueError(f"enumeration supports n in [0, {MAX_ENUM_SIDE}], got {n}")
     if n == 0:
@@ -186,8 +186,8 @@ def count_poset_matrices(n: int, jobs: int = 1) -> int:
     return sum(w * sum(1 for _ in _extensions(c)) for c, w in _class_level(n - 1).items())
 
 
-def count_isomorphism_classes(n: int, jobs: int = 1) -> int:
-    """Number of isomorphism classes of n-element posets; jobs is accepted and ignored."""
+def count_isomorphism_classes(n: int) -> int:
+    """Number of isomorphism classes of n-element posets."""
     if not 0 <= n <= MAX_CLASS_SIDE:
         raise ValueError(f"class counting supports n in [0, {MAX_CLASS_SIDE}], got {n}")
     return len(_class_level(n))
@@ -221,17 +221,14 @@ def classify_index_vectors(n: int, sample_limit: int = 8) -> list[ClassReport]:
     """Partition all C(2**n, n) index vectors by the isomorphism class they realize."""
     if not 0 <= n <= MAX_CLASSIFY_SIDE:
         raise ValueError(f"classification supports n in [0, {MAX_CLASSIFY_SIDE}], got {n}")
-    labelled: dict[tuple[int, ...], int] = {}
-    for rows in _complete((), n):
-        canon = _canonical_rows(rows)[0]
-        labelled[canon] = labelled.get(canon, 0) + 1
+    labelled = _class_level(n)
     reports = []
     for canon, vectors in sorted(_class_table(n).items()):
         reports.append(
             ClassReport(
                 n=n,
                 canonical=PosetMatrix(BoolMatrix(n, canon)),
-                class_size_labelled=labelled.get(canon, 0),
+                class_size_labelled=labelled[canon],
                 index_vector_count=len(vectors),
                 sample_index_vectors=vectors[:sample_limit],
             )
@@ -258,8 +255,9 @@ def dual_class_check(n: int, pair_samples: int = 10_000, seed: int = 20240901) -
     if not 0 <= n <= MAX_CLASSIFY_SIDE:
         raise ValueError(f"class scans support n in [0, {MAX_CLASSIFY_SIDE}], got {n}")
     vectors = list(combinations(range(1 << n), n))
-    canon = {v: _canonical_rows(realize(v, n).rows)[0] for v in vectors}
-    dual_canon = {v: _canonical_rows(realize(dual_index(v, n), n).rows)[0] for v in vectors}
+    # the dual of a vector in Q(n, 2**n) is again one, so both look-ups hit the class table
+    canon = {v: c for c, members in _class_table(n).items() for v in members}
+    dual_canon = {v: canon[dual_index(v, n)] for v in vectors}
     if n <= 3:
         pairs = ((a, b) for a in vectors for b in vectors)
     else:

@@ -102,38 +102,35 @@ def _pred_masks(n: int) -> tuple[int, ...]:
     return tuple(principal_ideal(i, n) ^ (1 << i) for i in range(n))
 
 
-def _count_tail(preds: tuple[int, ...], i: int, chosen: int, n: int) -> int:
-    """Ideals extending the decided prefix: element i joins only if its predecessors did."""
-    if i == n:
-        return 1
-    total = _count_tail(preds, i + 1, chosen, n)
-    if preds[i] & ~chosen == 0:
-        total += _count_tail(preds, i + 1, chosen | (1 << i), n)
-    return total
-
-
 def count_ideals(n: int) -> int:
     """Number of downward-closed subsets of the size-n Pascal poset."""
     if not 0 <= n <= MAX_COUNT_GROUND:
         raise ValueError(f"ideal counting supports n in [0, {MAX_COUNT_GROUND}], got {n}")
-    return _count_tail(_pred_masks(n), 0, 0, n)
+    return sum(1 for _ in iter_ideals(n))
 
 
 def iter_ideals(n: int) -> Iterator[int]:
-    """Yield every ideal of the size-n Pascal poset as a subset mask."""
+    """Yield every ideal of the size-n Pascal poset as a subset mask.
+
+    Elements are decided in order, element i left out before it is taken
+    in, and it can be taken in only once all its predecessors are.
+    """
     if not 0 <= n <= MAX_COUNT_GROUND:
         raise ValueError(f"ideal iteration supports n in [0, {MAX_COUNT_GROUND}], got {n}")
-    preds = _pred_masks(n)
+    return _walk_ideals(_pred_masks(n), n)
 
-    def rec(i: int, chosen: int) -> Iterator[int]:
-        if i == n:
-            yield chosen
-            return
-        yield from rec(i + 1, chosen)
-        if preds[i] & ~chosen == 0:
-            yield from rec(i + 1, chosen | (1 << i))
 
-    return rec(0, 0)
+def _walk_ideals(preds: tuple[int, ...], n: int) -> Iterator[int]:
+    # A stack entry is a decided prefix (next element, chosen mask); each
+    # "taken in" branch waits on the stack until "left out" is walked out.
+    stack = [(0, 0)]
+    while stack:
+        i, chosen = stack.pop()
+        while i < n:
+            if preds[i] & ~chosen == 0:
+                stack.append((i + 1, chosen | (1 << i)))
+            i += 1
+        yield chosen
 
 
 def count_fixed_points(n: int) -> int:

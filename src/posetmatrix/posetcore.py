@@ -134,12 +134,7 @@ def dual_index(alpha: Sequence[int], n: int) -> tuple[int, ...]:
 
 def is_self_dual_index(alpha: Sequence[int], n: int) -> bool:
     """True when alpha equals its own dual: alpha[i] + alpha[k-1-i] = 2**n - 1 for all i."""
-    if not 0 <= n <= MAX_EMBED_LOG:
-        raise ValueError(f"ambient exponent must be in [0, {MAX_EMBED_LOG}], got {n}")
-    entries = check_index_vector(alpha, 1 << n)
-    top = (1 << n) - 1
-    k = len(entries)
-    return all(entries[i] + entries[k - 1 - i] == top for i in range(k))
+    return dual_index(alpha, n) == check_index_vector(alpha, 1 << n)
 
 
 def even_odd_moves(alpha: Sequence[int], n: int) -> frozenset[tuple[int, ...]]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .bmatrix import BoolMatrix, flip_transpose, is_idempotent
 from .domination import changeable_entries, domination_orbit, incidence_matrix
-from .enumeration import canonical_form, enumerate_poset_matrices
+from .enumeration import canonical_form, count_isomorphism_classes, count_poset_matrices, enumerate_poset_matrices
 from .ideals import antichain_table, count_fixed_points, count_ideals, dedekind
 from .pascal import pascal_matrix
 from .posetcore import dual, embed, dual_index, is_self_dual_index, realize
@@ -94,6 +94,12 @@ REFERENCE_CHECKS = (
         "id": "dedekind-small",
         "description": "free-distributive-lattice sizes for 0..4 generators, via ideal counts",
         "values": (2, 3, 6, 20, 168),
+    },
+    {
+        "id": "birkhoff-counts",
+        "description": "poset matrices (OEIS A006455) and isomorphism classes (OEIS A000112) on 0..6 elements",
+        "poset_matrices": (1, 1, 2, 7, 40, 357, 4824),
+        "isomorphism_classes": (1, 1, 2, 5, 16, 63, 318),
     },
 )
 
@@ -187,6 +193,13 @@ def _check_dedekind_small(spec_entry) -> tuple[bool, str]:
     return got == spec_entry["values"], f"values {got}"
 
 
+def _check_birkhoff_counts(spec_entry) -> tuple[bool, str]:
+    sizes = range(len(spec_entry["poset_matrices"]))
+    got = tuple(count_poset_matrices(n) for n in sizes), tuple(count_isomorphism_classes(n) for n in sizes)
+    ok = got == (spec_entry["poset_matrices"], spec_entry["isomorphism_classes"])
+    return ok, f"matrices {got[0]}, classes {got[1]}"
+
+
 _CHECKERS = {
     "ideal-count-table": _check_ideal_count_table,
     "fixed-point-scan": _check_fixed_point_scan,
@@ -199,6 +212,7 @@ _CHECKERS = {
     "self-dual-vector": _check_self_dual_vector,
     "flip-transpose-pair": _check_flip_transpose_pair,
     "dedekind-small": _check_dedekind_small,
+    "birkhoff-counts": _check_birkhoff_counts,
 }
 
 

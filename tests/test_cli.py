@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -271,14 +272,14 @@ def test_dedekind_bound(capsys):
 
 def test_selftest_passes(capsys):
     out = run_cli(capsys, "selftest")
-    assert "selftest: 11/11 checks passed" in out.out
+    assert "selftest: 12/12 checks passed" in out.out
 
 
 def test_selftest_json(capsys):
     out = run_cli(capsys, "selftest", "--format", "json")
     obj = json.loads(out.out)
     assert obj["ok"] is True
-    assert len(obj["checks"]) == 11
+    assert len(obj["checks"]) == 12
 
 
 # ---- cache ----
@@ -347,6 +348,71 @@ def test_jobs_output_identical(capsys):
     serial = run_cli(capsys, "ideals", "--n", "13")
     parallel = run_cli(capsys, "ideals", "--n", "13", "--jobs", "2")
     assert serial.out == parallel.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "-"],
+        ["embed", "-"],
+        ["induce", "--n", "2", "--alpha", "1,2"],
+        ["dual", "-"],
+        ["dual-index", "--n", "2", "--alpha", "1"],
+        ["canonical", "-"],
+        ["orbit", "--n", "2", "--alpha", "1,2"],
+        ["dedekind", "--k", "1"],
+        ["selftest"],
+    ],
+)
+@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--cache-dir", "d"]])
+def test_jobs_and_cache_dir_only_on_enumerate_and_ideals(capsys, argv, flag):
+    with pytest.raises(SystemExit) as info:
+        main(argv + flag)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "embed", "dual", "canonical"])
+def test_deeply_nested_matrix_json_is_domain_error(capsys, monkeypatch, command):
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"n": ' + "[" * 100000))
+    out = run_cli(capsys, command, "-", expect=1)
+    assert out.err.startswith("pm: bad matrix JSON: ")
+    assert "Traceback" not in out.err
+
+
+def test_deeply_nested_matrix_json_validate_json_format(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"n": ' + "[" * 100000))
+    out = run_cli(capsys, "validate", "-", "--format", "json", expect=1)
+    obj = json.loads(out.out)
+    assert obj["valid"] is False
+    assert obj["error"]["kind"] == "invalid"
+    assert obj["error"]["detail"].startswith("bad matrix JSON: ")
+
+
+@pytest.mark.parametrize(
+    "argv, head",
+    [
+        # the reader takes 20 bytes and goes away, as `pm enumerate --n 6 | head -c 20` does
+        (["enumerate", "--n", "6"], b"100000\n010000\n001000"),
+        # the reader is gone before a short output, still buffered, is written
+        (["ideals", "--n", "5"], b""),
+    ],
+)
+def test_closed_stdout_is_io_error_without_traceback(argv, head):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # stdout block-buffered
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "posetmatrix", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    got = proc.stdout.read(len(head))
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 3
+    assert got == head
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_console_entry_point_subprocess():

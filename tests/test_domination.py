@@ -21,17 +21,38 @@ from posetmatrix.posetcore import even_odd_moves, realize
 WORKED_ALPHA = (2, 5, 9, 13)
 
 
+def pairs_by_scan(rows):
+    """All ordered pairs (i, j), i != j, with row i entrywise at most row j."""
+    pairs = set()
+    for i, ri in enumerate(rows):
+        for j, rj in enumerate(rows):
+            if i != j and ri & ~rj == 0:
+                pairs.add((i, j))
+    return pairs
+
+
 def naive_changeable(m):
-    """Flip each entry in a fresh copy and recompute the whole profile."""
-    base = domination_relations(m)
+    """Flip each entry in a fresh copy and rescan every pair of rows."""
+    base = pairs_by_scan(m.rows)
     out = set()
     for i in range(m.n):
         for j in range(m.n):
             rows = list(m.rows)
             rows[i] ^= 1 << j
-            if domination_relations(BoolMatrix(m.n, tuple(rows))) == base:
+            if pairs_by_scan(rows) == base:
                 out.add((i, j))
     return frozenset(out)
+
+
+def all_and_seeded_matrices():
+    """Every matrix of side <= 3, duplicate rows included, then 300 seeded ones of side 4..7."""
+    for n in range(4):
+        for rows in itertools.product(range(1 << n), repeat=n):
+            yield BoolMatrix(n, rows)
+    rng = random.Random(4077)
+    for _ in range(300):
+        n = rng.randrange(4, 8)
+        yield BoolMatrix(n, tuple(rng.randrange(1 << n) for _ in range(n)))
 
 
 # ---- incidence matrices and index vectors ----
@@ -75,6 +96,11 @@ def test_domination_relations_identity_is_empty():
 def test_domination_relations_subset_semantics():
     m = BoolMatrix(3, (1, 3, 7))
     assert domination_relations(m) == {(0, 1), (0, 2), (1, 2)}
+
+
+def test_domination_relations_match_pair_scan():
+    for m in all_and_seeded_matrices():
+        assert domination_relations(m) == pairs_by_scan(m.rows), m.rows
 
 
 # ---- changeable entries ----
@@ -126,6 +152,20 @@ def test_changeable_flips_stay_in_class():
         for i, j in changeable_entries(m):
             beta = index_of(flip_entry(m, i, j))
             assert canonical_form(realize(beta, 3)).rows == target
+
+
+def test_flip_entry_agrees_with_naive_everywhere():
+    for m in all_and_seeded_matrices():
+        allowed = naive_changeable(m)
+        for i in range(m.n):
+            for j in range(m.n):
+                if (i, j) in allowed:
+                    rows = list(m.rows)
+                    rows[i] ^= 1 << j
+                    assert flip_entry(m, i, j).rows == tuple(rows)
+                else:
+                    with pytest.raises(NotChangeableError):
+                        flip_entry(m, i, j)
 
 
 def test_flip_entry_refuses_profile_changes():

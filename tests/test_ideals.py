@@ -50,6 +50,23 @@ def naive_ideals(n):
     return out
 
 
+def ideals_by_recursion(n):
+    """Ideals in the order of a recursive walk: element i left out before it is taken in."""
+    preds = [principal_ideal(i, n) ^ (1 << i) for i in range(n)]
+    out = []
+
+    def rec(i, chosen):
+        if i == n:
+            out.append(chosen)
+            return
+        rec(i + 1, chosen)
+        if preds[i] & ~chosen == 0:
+            rec(i + 1, chosen | (1 << i))
+
+    rec(0, 0)
+    return out
+
+
 # ---- principal ideals and closures ----
 
 
@@ -98,6 +115,19 @@ def test_antichain_ideal_bijection():
         ideals = set(iter_ideals(n))
         assert len(antichains) == len(ideals)
         assert {antichain_to_ideal(a, n) for a in antichains} == ideals
+
+
+@pytest.mark.parametrize("n", list(range(21)) + [32])
+def test_iter_ideals_order_matches_recursion(n):
+    expected = ideals_by_recursion(n)
+    assert list(iter_ideals(n)) == expected
+    assert count_ideals(n) == len(expected)
+
+
+def test_iter_ideals_checks_n_at_call():
+    for n in (-1, 33):
+        with pytest.raises(ValueError):
+            iter_ideals(n)
 
 
 def test_is_ideal_against_naive():
