@@ -26,6 +26,16 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _row_text(row: int, n: int) -> str:
+    """Row mask as n characters '0'/'1', column 0 first.
+
+    bin() of the row with a guard bit at position n is "0b1" followed by
+    columns n-1 down to 0; reversing and dropping "0b1" gives the row, and
+    the guard keeps n = 0 empty.
+    """
+    return bin(row | 1 << n)[:2:-1]
+
+
 @dataclass(frozen=True)
 class BoolMatrix:
     """Immutable square Boolean matrix; ``rows[i] >> j & 1`` is entry (i, j)."""
@@ -82,10 +92,10 @@ class BoolMatrix:
         return cls(n, tuple(rows))
 
     def row_string(self, i: int) -> str:
-        return "".join("1" if self.rows[i] >> j & 1 else "0" for j in range(self.n))
+        return _row_text(self.rows[i], self.n)
 
     def to_text(self) -> str:
-        return "\n".join(self.row_string(i) for i in range(self.n))
+        return "\n".join([_row_text(row, self.n) for row in self.rows])
 
     @classmethod
     def from_json_obj(cls, obj) -> "BoolMatrix":
@@ -103,7 +113,7 @@ class BoolMatrix:
         return m
 
     def to_json_obj(self) -> dict:
-        return {"n": self.n, "rows": [self.row_string(i) for i in range(self.n)]}
+        return {"n": self.n, "rows": [_row_text(row, self.n) for row in self.rows]}
 
 
 def identity(n: int) -> BoolMatrix:

@@ -16,7 +16,7 @@ import sys
 from itertools import islice
 
 from . import __version__, refdata
-from .bmatrix import BoolMatrix, NotSquareError, format_index_vector, parse_index_vector
+from .bmatrix import BoolMatrix, NotSquareError, _row_text, format_index_vector, parse_index_vector
 from .cache import ResultCache
 from .domination import OrbitResult, DEFAULT_ORBIT_BUDGET, domination_orbit
 from .enumeration import (
@@ -68,17 +68,19 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _emit_json_list(head: dict, field: str, items) -> None:
-    """Print _emit_json({**head, field: list(items)}) while holding only a batch of items at a time."""
-    encode = json.JSONEncoder(indent=2).encode
-    sys.stdout.write(f"{encode(head)[:-2]},\n  {encode(field)}: [")
-    sep = "\n  "
-    items = iter(items)
-    while batch := list(islice(items, 1024)):
-        # encode(batch) is "[\n  item,\n  item\n]": drop the brackets, indent one level deeper
-        sys.stdout.write(sep + encode(batch)[2:-2].replace("\n", "\n  "))
-        sep = ",\n  "
-    sys.stdout.write("]\n}\n" if sep == "\n  " else "\n  ]\n}\n")
+def _record_text(n: int, json_format: bool):
+    """Text of one side-n matrix record from its row masks, read from a table of the 2**n row strings.
+
+    A JSON record is the matrix's to_json_obj() as json.dumps(indent=2)
+    prints it as an item of a list that is a field of the top-level object.
+    """
+    table = [_row_text(row, n) for row in range(1 << n)]
+    if not json_format:
+        return lambda rows: "\n".join(map(table.__getitem__, rows))
+    if n == 0:
+        return lambda rows: '    {\n      "n": 0,\n      "rows": []\n    }'
+    head = f'    {{\n      "n": {n},\n      "rows": [\n        "'
+    return lambda rows: head + '",\n        "'.join(map(table.__getitem__, rows)) + '"\n      ]\n    }'
 
 
 def _cached(args, key: str, compute) -> dict:
@@ -192,19 +194,23 @@ def _cmd_enumerate(args) -> int:
     if args.emit == "canonical":
         if not 0 <= n <= MAX_CLASS_SIDE:
             raise ValueError(f"canonical emission supports n in [0, {MAX_CLASS_SIDE}], got {n}")
-        blocks = (BoolMatrix(n, rows) for rows in sorted(_class_level(n)))
+        masks = sorted(_class_level(n))
         field = "canonical_forms"
     else:
-        blocks = (a.matrix for a in enumerate_poset_matrices(n))
+        masks = (a.rows for a in enumerate_poset_matrices(n))
         field = "matrices"
-    if args.format == "json":
-        _emit_json_list({"n": n}, field, (b.to_json_obj() for b in blocks))
+    record = _record_text(n, args.format == "json")
+    if args.format == "json":  # the text of _emit_json({"n": n, field: [record, ...]})
+        head, sep, tail = f'{{\n  "n": {n},\n  "{field}": [\n', ",\n", "\n  ]\n}\n"
     else:
-        sep = ""
-        for b in blocks:
-            sys.stdout.write(sep + b.to_text())
-            sep = "\n\n"
-        sys.stdout.write("\n")
+        head, sep, tail = "", "\n\n", "\n"
+    sys.stdout.write(head)
+    records = map(record, masks)
+    gap = ""  # every side in range has at least one record, so the JSON list is never empty
+    while batch := list(islice(records, 1024)):  # one write per record costs more CPU
+        sys.stdout.write(gap + sep.join(batch))
+        gap = sep
+    sys.stdout.write(tail)
     return 0
 
 

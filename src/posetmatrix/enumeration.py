@@ -246,6 +246,16 @@ def pascal_class(alpha: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
     return _class_table(n)[_canonical_rows(realize(entries, n).rows)[0]]
 
 
+@lru_cache(maxsize=None)
+def _dual_classes(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Canonical rows of each n-element class -> canonical rows of its dual's class.
+
+    A class's canonical rows, read as integers, are an index vector in
+    Q(n, 2**n) that realizes it; dual_index of that vector realizes the dual.
+    """
+    return {c: _canonical_rows(realize(dual_index(c, n), n).rows)[0] for c in _class_level(n)}
+
+
 def dual_class_check(n: int, pair_samples: int = 10_000, seed: int = 20240901) -> bool:
     """Whether 'same class' agrees with 'duals in the same class' over Q(n, 2**n).
 
@@ -255,12 +265,11 @@ def dual_class_check(n: int, pair_samples: int = 10_000, seed: int = 20240901) -
     if not 0 <= n <= MAX_CLASSIFY_SIDE:
         raise ValueError(f"class scans support n in [0, {MAX_CLASSIFY_SIDE}], got {n}")
     vectors = list(combinations(range(1 << n), n))
-    # the dual of a vector in Q(n, 2**n) is again one, so both look-ups hit the class table
     canon = {v: c for c, members in _class_table(n).items() for v in members}
-    dual_canon = {v: canon[dual_index(v, n)] for v in vectors}
+    dual_of = _dual_classes(n)
     if n <= 3:
         pairs = ((a, b) for a in vectors for b in vectors)
     else:
         rng = random.Random(seed)
         pairs = ((rng.choice(vectors), rng.choice(vectors)) for _ in range(pair_samples))
-    return all((canon[a] == canon[b]) == (dual_canon[a] == dual_canon[b]) for a, b in pairs)
+    return all((canon[a] == canon[b]) == (dual_of[canon[a]] == dual_of[canon[b]]) for a, b in pairs)

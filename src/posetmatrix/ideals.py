@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .bmatrix import identity, iter_bits
+from .bmatrix import _row_text, identity, iter_bits
 from .pascal import _submask_row, check_index_vector, induced_submatrix, pascal_matrix
 
 MAX_COUNT_GROUND = 32
@@ -41,13 +41,7 @@ def is_ideal(mask: int, n: int) -> bool:
 
 def is_antichain(mask: int, n: int) -> bool:
     """True when no element of mask has its support contained in another's."""
-    _check_mask(mask, n)
-    elements = list(iter_bits(mask))
-    for pos, a in enumerate(elements):
-        for b in elements[pos + 1 :]:
-            if a & ~b == 0:
-                return False
-    return True
+    return ideal_to_antichain(mask, n) == mask
 
 
 def antichain_to_ideal(mask: int, n: int) -> int:
@@ -60,17 +54,16 @@ def antichain_to_ideal(mask: int, n: int) -> int:
 
 
 def ideal_to_antichain(mask: int, n: int) -> int:
-    """Maximal elements of mask under the support order."""
+    """Maximal elements of mask under the support order: those with no proper superset in mask."""
     _check_mask(mask, n)
+    ups = _column_masks(n)  # ups[e]: e and every element whose support contains e's
     out = 0
-    for e in iter_bits(mask):
-        maximal = True
-        for other in iter_bits(mask ^ (1 << e)):
-            if e & ~other == 0:
-                maximal = False
-                break
-        if maximal:
-            out |= 1 << e
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if mask & ups[low.bit_length() - 1] == low:
+            out |= low
+        rest ^= low
     return out
 
 
@@ -165,15 +158,11 @@ def _mask_to_tuple(mask: int) -> tuple[int, ...]:
     return tuple(iter_bits(mask))
 
 
-def _mask_to_string(mask: int, n: int) -> str:
-    return "".join("1" if mask >> j & 1 else "0" for j in range(n))
-
-
 def antichain_table(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...], str]]:
     """(antichain, ideal, fixed-point string) for every ideal, by antichain size then entries."""
     rows = []
     for ideal_mask in iter_ideals(n):
         anti = ideal_to_antichain(ideal_mask, n)
-        rows.append((_mask_to_tuple(anti), _mask_to_tuple(ideal_mask), _mask_to_string(ideal_mask, n)))
+        rows.append((_mask_to_tuple(anti), _mask_to_tuple(ideal_mask), _row_text(ideal_mask, n)))
     rows.sort(key=lambda triple: (len(triple[0]), triple[0]))
     return rows

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .bmatrix import BoolMatrix, flip_transpose, iter_bits
+from .bmatrix import BoolMatrix, flip_transpose
 from .pascal import _subset_rows, check_index_vector
 
 # Embedded vectors index into the Pascal matrix of side 2**n; with rows held
@@ -55,11 +55,15 @@ def _first_triangular_failure(m: BoolMatrix) -> Optional[tuple[int, int]]:
 
 def _first_transitivity_failure(m: BoolMatrix) -> Optional[tuple[int, int, int]]:
     """Lexicographically first (i, j, k) with entries (i,j), (j,k) set but (i,k) clear."""
-    for i, row in enumerate(m.rows):
-        for j in iter_bits(row):
-            missing = m.rows[j] & ~row
+    rows = m.rows
+    for i, row in enumerate(rows):
+        rest = row & ~(1 << i)  # j = i never fails: row i minus itself is empty
+        while rest:  # the other set bits j of row i, ascending
+            low = rest & -rest
+            missing = rows[low.bit_length() - 1] & ~row
             if missing:
-                return i, j, (missing & -missing).bit_length() - 1
+                return i, low.bit_length() - 1, (missing & -missing).bit_length() - 1
+            rest ^= low
     return None
 
 

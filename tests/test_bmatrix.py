@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from posetmatrix.bmatrix import (
     BoolMatrix,
+    _row_text,
     NotSquareError,
     Permutation,
     bool_mul,
@@ -126,6 +127,21 @@ def test_text_rejects_bad_characters_and_ragged_rows():
 
 def test_empty_text_is_empty_matrix():
     assert BoolMatrix.from_text("") == BoolMatrix(0, ())
+
+
+def row_text_by_entries(mask, n):
+    """Row text one entry at a time, column 0 first."""
+    return "".join("1" if mask >> j & 1 else "0" for j in range(n))
+
+
+def test_row_text_matches_per_entry_join():
+    for n in range(11):
+        for mask in range(1 << n):
+            assert _row_text(mask, n) == row_text_by_entries(mask, n)
+    rng = random.Random(8)
+    for _ in range(2000):
+        mask = rng.getrandbits(32)
+        assert _row_text(mask, 32) == row_text_by_entries(mask, 32)
 
 
 def test_json_round_trip():

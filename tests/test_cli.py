@@ -8,7 +8,7 @@ import pytest
 
 from posetmatrix.bmatrix import BoolMatrix
 from posetmatrix.cli import main
-from posetmatrix.enumeration import canonical_form, enumerate_poset_matrices
+from posetmatrix.enumeration import _class_level, canonical_form, enumerate_poset_matrices
 
 V_MATRIX = "100\n110\n101\n"
 CHAIN_BAD = "100\n110\n011\n"
@@ -170,6 +170,13 @@ def test_enumerate_stream_equals_whole_list_output(capsys, emit, field):
         assert out.out == json.dumps({"n": n, field: [m.to_json_obj() for m in mats]}, indent=2) + "\n"
         out = run_cli(capsys, "enumerate", "--n", str(n), "--emit", emit)
         assert out.out == "\n\n".join(m.to_text() for m in mats) + "\n"
+
+
+def test_enumerate_canonical_side_7_json_equals_json_dumps(capsys):
+    forms = [BoolMatrix(7, rows).to_json_obj() for rows in sorted(_class_level(7))]
+    assert len(forms) == 2045
+    out = run_cli(capsys, "enumerate", "--n", "7", "--emit", "canonical", "--format", "json")
+    assert out.out == json.dumps({"n": 7, "canonical_forms": forms}, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("n", ["-1", "9"])

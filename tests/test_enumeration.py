@@ -7,6 +7,8 @@ import pytest
 from posetmatrix import enumeration
 from posetmatrix.bmatrix import BoolMatrix, Permutation, identity, is_idempotent, permute_similar
 from posetmatrix.enumeration import (
+    _class_level,
+    _dual_classes,
     canonical_form,
     canonical_labelling,
     classify_index_vectors,
@@ -356,6 +358,14 @@ def test_dual_respects_classes_exhaustively():
             by_class.setdefault(canonical_form(a).rows, set()).add(canonical_form(dual(a)).rows)
         for duals in by_class.values():
             assert len(duals) == 1
+
+
+def test_dual_classes_match_dual_matrices():
+    for n in range(6):
+        duals = _dual_classes(n)
+        assert duals.keys() == _class_level(n).keys()
+        for a in enumerate_poset_matrices(n):
+            assert duals[canonical_form(a).rows] == canonical_form(dual(a)).rows
 
 
 def test_dual_class_check_small():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -103,6 +104,27 @@ def test_ideal_to_antichain_table():
         mask = sum(1 << e for e in ideal)
         expected = sum(1 << e for e in anti)
         assert ideal_to_antichain(mask, 5) == expected
+
+
+def maximal_by_pairs(mask, n):
+    """Maximal elements of mask by comparing every pair of its elements."""
+    elements = [e for e in range(n) if mask >> e & 1]
+    return sum(1 << e for e in elements if not any(naive_leq(e, o) for o in elements if o != e))
+
+
+def is_antichain_by_pairs(mask, n):
+    elements = [e for e in range(n) if mask >> e & 1]
+    return not any(naive_leq(a, b) for a in elements for b in elements if a != b)
+
+
+def test_maximal_elements_match_pair_loop():
+    # arbitrary masks, not only ideals
+    masks = [(n, mask) for n in range(13) for mask in range(1 << n)]
+    rng = random.Random(8)
+    masks += [(n, rng.getrandbits(n)) for n in range(13, 33) for _ in range(200)]
+    for n, mask in masks:
+        assert ideal_to_antichain(mask, n) == maximal_by_pairs(mask, n)
+        assert is_antichain(mask, n) == is_antichain_by_pairs(mask, n)
 
 
 def test_antichain_ideal_bijection():

@@ -8,6 +8,7 @@ from posetmatrix.enumeration import canonical_form, enumerate_poset_matrices
 from posetmatrix.pascal import induced_submatrix, pascal_matrix
 from posetmatrix.posetcore import (
     NotTransitiveError,
+    _first_transitivity_failure,
     NotUnitLowerTriangularError,
     dual,
     dual_index,
@@ -74,6 +75,25 @@ def test_validate_first_witness_is_lexicographic():
     with pytest.raises(NotTransitiveError) as info:
         validate(BoolMatrix(4, (1, 3, 6, 10)))
     assert info.value.witness == (2, 1, 0)
+
+
+def transitivity_failure_by_triples(m):
+    """Lexicographically first (i, j, k) with (i,j), (j,k) set and (i,k) clear, by a triple loop."""
+    e = m.to_lists()
+    for i, j, k in itertools.product(range(m.n), repeat=3):
+        if e[i][j] and e[j][k] and not e[i][k]:
+            return i, j, k
+    return None
+
+
+def test_first_transitivity_failure_matches_triple_loop():
+    for n in range(7):
+        for m in all_unit_lower_triangular(n):
+            assert _first_transitivity_failure(m) == transitivity_failure_by_triples(m)
+    for n in range(4):
+        for rows in itertools.product(range(1 << n), repeat=n):
+            m = BoolMatrix(n, rows)
+            assert _first_transitivity_failure(m) == transitivity_failure_by_triples(m)
 
 
 def test_validate_agrees_with_idempotence_on_ult():
