@@ -22,10 +22,10 @@ from .domination import OrbitResult, DEFAULT_ORBIT_BUDGET, domination_orbit
 from .enumeration import (
     MAX_CLASS_SIDE,
     _class_level,
+    _poset_rows,
     canonical_labelling,
     count_isomorphism_classes,
     count_poset_matrices,
-    enumerate_poset_matrices,
     pascal_class,
 )
 from .ideals import antichain_table, count_fixed_points, count_ideals, dedekind
@@ -197,7 +197,7 @@ def _cmd_enumerate(args) -> int:
         masks = sorted(_class_level(n))
         field = "canonical_forms"
     else:
-        masks = (a.rows for a in enumerate_poset_matrices(n))
+        masks = _poset_rows(n)
         field = "matrices"
     record = _record_text(n, args.format == "json")
     if args.format == "json":  # the text of _emit_json({"n": n, field: [record, ...]})

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .bmatrix import BoolMatrix, iter_bits, permute  # permute is re-exported
 from .pascal import _subset_rows, check_index_vector
@@ -145,45 +145,33 @@ class OrbitResult:
         }
 
 
-def _orbit_moves(state: tuple[int, ...], n: int) -> Iterable[tuple[int, ...]]:
-    """Sorted successor states: all column transpositions, then all single changeable flips."""
-    rows = list(state)
-    moves = []
-    for c1 in range(n):
-        b1 = 1 << c1
-        for c2 in range(c1 + 1, n):
-            b2 = 1 << c2
-            swapped = []
-            for r in rows:
-                moved = r & ~(b1 | b2)
-                if r & b1:
-                    moved |= b2
-                if r & b2:
-                    moved |= b1
-                swapped.append(moved)
-            moves.append(tuple(sorted(swapped)))
-    for i, j in _changeable(rows):
-        flipped = list(rows)
-        flipped[i] ^= 1 << j
-        moves.append(tuple(sorted(flipped)))
-    return moves
-
-
 def domination_orbit(alpha: Sequence[int], n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitResult:
     """Breadth-first closure of alpha under column swaps and changeable flips.
 
-    States are sorted row-value tuples: row permutations are absorbed by the
-    normalization, and transpositions generate every column permutation over
-    a few steps.  Expands at most `budget` states; when the budget runs out
-    the result carries exhausted=False and whatever was reached so far.
+    States are sorted row-value tuples, so row permutations are absorbed by
+    the normalization.  Every state moves by its n - 1 adjacent column swaps,
+    which generate every column permutation over a few steps.  Changeable
+    flips are tried only from alpha and from states first reached by a flip:
+    a column permutation sigma keeps every row domination, so the flips of
+    sigma(S) are sigma applied to the flips of S, and they are reached by
+    swaps from the flips of S.  The closure is therefore the same set as
+    with flips from every state.
+
+    Expands at most `budget` states, each popped once and with at most
+    n - 1 + n * n successors; when the budget runs out the result carries
+    exhausted=False and whatever was reached so far.
     """
     entries = check_index_vector(alpha, 1 << n)
     if len(entries) != n:
         raise ValueError(f"need exactly {n} entries, got {len(entries)}")
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
+    swaps = [(c, c + 1, 3 << c) for c in range(n - 1)]
     seen = {entries}
     queue = deque([entries])
+    # The queued states that try flips, in the order they stand in queue:
+    # a popped state tries flips exactly when it is the head of flip_queue.
+    flip_queue = deque([entries])
     expanded = 0
     exhausted = True
     while queue:
@@ -192,8 +180,22 @@ def domination_orbit(alpha: Sequence[int], n: int, budget: int = DEFAULT_ORBIT_B
             break
         state = queue.popleft()
         expanded += 1
-        for nxt in _orbit_moves(state, n):
+        for c, d, both in swaps:
+            nxt = tuple(sorted([r ^ ((r >> c ^ r >> d) & 1) * both for r in state]))
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
+        if not flip_queue or state is not flip_queue[0]:
+            continue  # reached by a swap: its flips are swaps of flips already queued
+        flip_queue.popleft()
+        rows = list(state)
+        for i, r in enumerate(state):
+            for j in iter_bits(_changeable_columns(state, i)):
+                rows[i] = r ^ 1 << j
+                nxt = tuple(sorted(rows))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+                    flip_queue.append(nxt)
+            rows[i] = r
     return OrbitResult(entries, n, tuple(sorted(seen)), exhausted, expanded)

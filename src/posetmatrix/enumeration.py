@@ -42,17 +42,25 @@ def _complete(prefix: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
         yield from _complete(ext, n)
 
 
+def _poset_rows(n: int) -> Iterator[tuple[int, ...]]:
+    """Row tuples of every n x n poset matrix, in increasing row-mask order, unvalidated.
+
+    A side out of range raises at the call, before anything is yielded.
+    """
+    if not 0 <= n <= MAX_ENUM_SIDE:
+        raise ValueError(f"enumeration supports n in [0, {MAX_ENUM_SIDE}], got {n}")
+    return _complete((), n)
+
+
 def enumerate_poset_matrices(n: int) -> Iterator[PosetMatrix]:
     """Yield every n x n poset matrix exactly once, in increasing row-mask order.
 
     Each row is chosen as a downward-closed set of earlier elements (it must
     contain the full row of everything it selects), so transitivity holds by
-    construction and no validation filter is needed.  A side out of range
-    raises at the call, before anything is yielded.
+    construction; each matrix is still validated as a PosetMatrix.  A side
+    out of range raises at the call, before anything is yielded.
     """
-    if not 0 <= n <= MAX_ENUM_SIDE:
-        raise ValueError(f"enumeration supports n in [0, {MAX_ENUM_SIDE}], got {n}")
-    return (PosetMatrix(BoolMatrix(n, rows)) for rows in _complete((), n))
+    return (PosetMatrix(BoolMatrix(n, rows)) for rows in _poset_rows(n))
 
 
 # ---- canonical labelling -------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -42,6 +43,45 @@ def naive_changeable(m):
             if pairs_by_scan(rows) == base:
                 out.add((i, j))
     return frozenset(out)
+
+
+def swap_columns(row, c1, c2):
+    """Row mask with bits c1 and c2 exchanged."""
+    if (row >> c1 ^ row >> c2) & 1:
+        row ^= 1 << c1 | 1 << c2
+    return row
+
+
+def transposition_orbit(alpha, n):
+    """The orbit BFS with every column transposition and every changeable flip from every state.
+
+    Returns the sorted members and the number of states expanded.
+    """
+    start = tuple(alpha)
+    seen = {start}
+    queue = deque([start])
+    expanded = 0
+    while queue:
+        state = queue.popleft()
+        expanded += 1
+        moves = []
+        for c1, c2 in itertools.combinations(range(n), 2):
+            moves.append(tuple(sorted(swap_columns(r, c1, c2) for r in state)))
+        for i, j in changeable_entries(BoolMatrix(n, state)):
+            rows = list(state)
+            rows[i] ^= 1 << j
+            moves.append(tuple(sorted(rows)))
+        for nxt in moves:
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return tuple(sorted(seen)), expanded
+
+
+def assert_matches_transposition_orbit(alpha, n):
+    got = domination_orbit(alpha, n)
+    assert got.exhausted, alpha
+    assert (got.members, got.states_visited) == transposition_orbit(alpha, n), alpha
 
 
 def all_and_seeded_matrices():
@@ -327,3 +367,47 @@ def test_orbit_rejects_bad_input():
         domination_orbit((1, 2, 8), 3)
     with pytest.raises(ValueError):
         domination_orbit((1, 2, 4), 3, budget=-1)
+
+
+def test_orbit_matches_transposition_bfs():
+    for n in range(4):
+        for alpha in itertools.combinations(range(1 << n), n):
+            assert_matches_transposition_orbit(alpha, n)
+    rng = random.Random(9173)
+    for _ in range(300):
+        assert_matches_transposition_orbit(tuple(sorted(rng.sample(range(16), 4))), 4)
+    assert_matches_transposition_orbit((3, 5, 9, 17, 30), 5)
+
+
+@pytest.mark.slow
+def test_orbit_matches_transposition_bfs_all_n4():
+    for alpha in itertools.combinations(range(16), 4):
+        assert_matches_transposition_orbit(alpha, 4)
+
+
+def test_orbit_budget_cut_at_every_budget():
+    rng = random.Random(5521)
+    for _ in range(20):
+        n = rng.randrange(1, 5)
+        alpha = tuple(sorted(rng.sample(range(1 << n), n)))
+        full = set(domination_orbit(alpha, n).members)
+        for budget in range(len(full) + 2):
+            cut = domination_orbit(alpha, n, budget=budget)
+            assert cut.states_visited == min(budget, len(full)), (alpha, budget)
+            assert cut.exhausted == (budget >= len(full)), (alpha, budget)
+            assert alpha in cut.members
+            assert set(cut.members) <= full
+
+
+@pytest.mark.slow
+def test_orbit_n6_is_closed_under_transpositions():
+    alpha = (3, 5, 9, 17, 33, 62)
+    result = domination_orbit(alpha, 6)
+    assert result.exhausted
+    assert len(result.members) == result.states_visited == 759_455
+    members = set(result.members)
+    assert alpha in members
+    tables = [[swap_columns(r, c1, c2) for r in range(64)] for c1, c2 in itertools.combinations(range(6), 2)]
+    for beta in result.members:
+        for table in tables:
+            assert tuple(sorted(map(table.__getitem__, beta))) in members, beta

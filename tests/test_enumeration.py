@@ -7,8 +7,10 @@ import pytest
 from posetmatrix import enumeration
 from posetmatrix.bmatrix import BoolMatrix, Permutation, identity, is_idempotent, permute_similar
 from posetmatrix.enumeration import (
+    MAX_ENUM_SIDE,
     _class_level,
     _dual_classes,
+    _poset_rows,
     canonical_form,
     canonical_labelling,
     classify_index_vectors,
@@ -186,6 +188,15 @@ def test_enumeration_bounds():
         count_poset_matrices(9)
     with pytest.raises(ValueError):
         list(enumerate_poset_matrices(-1))
+
+
+def test_poset_rows_validate_and_match_enumeration():
+    for n in range(7):
+        rows_list = list(_poset_rows(n))
+        assert [validate(BoolMatrix(n, rows)).rows for rows in rows_list] == rows_list
+        assert rows_list == [a.rows for a in enumerate_poset_matrices(n)]
+    with pytest.raises(ValueError):
+        _poset_rows(MAX_ENUM_SIDE + 1)
 
 
 def test_tree_count_matches_enumeration():
