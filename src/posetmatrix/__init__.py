@@ -6,137 +6,106 @@ the (or, and) semiring.  This package validates such matrices, embeds
 them into binary Pascal matrices by index vectors, classifies them up to
 isomorphism, walks domination-preserving rewrite orbits, takes duals,
 and counts antichains/order ideals of the Pascal posets themselves.
+
+Importing the package loads none of its modules: each public name is
+imported from its module on first access, so a `pm` command compiles
+only the layers it runs.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .bmatrix import (
-    BoolMatrix,
-    NotSquareError,
-    Permutation,
-    bool_mul,
-    flip_transpose,
-    format_index_vector,
-    identity,
-    is_idempotent,
-    parse_index_vector,
-    permute_similar,
-)
-from .domination import (
-    NotChangeableError,
-    OrbitResult,
-    changeable_entries,
-    domination_orbit,
-    domination_relations,
-    flip_entry,
-    incidence_matrix,
-    index_of,
-    permute,
-    reduce_to_poset_matrix,
-)
-from .enumeration import (
-    ClassReport,
-    canonical_form,
-    canonical_labelling,
-    classify_index_vectors,
-    count_isomorphism_classes,
-    count_poset_matrices,
-    dual_class_check,
-    enumerate_poset_matrices,
-    pascal_class,
-)
-from .ideals import (
-    antichain_table,
-    antichain_to_ideal,
-    count_fixed_points,
-    count_ideals,
-    dedekind,
-    ideal_to_antichain,
-    identity_antichain_check,
-    is_antichain,
-    is_fixed_point,
-    is_ideal,
-    iter_ideals,
-    principal_ideal,
-)
-from .pascal import (
-    check_index_vector,
-    induced_submatrix,
-    lucas_entry,
-    pascal_matrix,
-    support,
-    support_poset_matrix,
-)
-from .posetcore import (
-    NotTransitiveError,
-    NotUnitLowerTriangularError,
-    PosetMatrix,
-    PosetValidationError,
-    dual,
-    dual_index,
-    embed,
-    even_odd_moves,
-    is_self_dual_index,
-    realize,
-    validate,
-)
+# Defined here, not in domination, so that `pm orbit --help` can show it without loading the search.
+DEFAULT_ORBIT_BUDGET = 10**6
 
-__all__ = [
-    "BoolMatrix",
-    "ClassReport",
-    "NotChangeableError",
-    "NotSquareError",
-    "NotTransitiveError",
-    "NotUnitLowerTriangularError",
-    "OrbitResult",
-    "Permutation",
-    "PosetMatrix",
-    "PosetValidationError",
-    "antichain_table",
-    "antichain_to_ideal",
-    "bool_mul",
-    "canonical_form",
-    "canonical_labelling",
-    "changeable_entries",
-    "check_index_vector",
-    "classify_index_vectors",
-    "count_fixed_points",
-    "count_ideals",
-    "count_isomorphism_classes",
-    "count_poset_matrices",
-    "dedekind",
-    "domination_orbit",
-    "domination_relations",
-    "dual",
-    "dual_class_check",
-    "dual_index",
-    "embed",
-    "enumerate_poset_matrices",
-    "even_odd_moves",
-    "flip_entry",
-    "flip_transpose",
-    "format_index_vector",
-    "identity",
-    "identity_antichain_check",
-    "incidence_matrix",
-    "index_of",
-    "induced_submatrix",
-    "is_antichain",
-    "is_fixed_point",
-    "is_ideal",
-    "is_idempotent",
-    "is_self_dual_index",
-    "iter_ideals",
-    "lucas_entry",
-    "parse_index_vector",
-    "pascal_class",
-    "pascal_matrix",
-    "permute",
-    "permute_similar",
-    "principal_ideal",
-    "realize",
-    "reduce_to_poset_matrix",
-    "support",
-    "support_poset_matrix",
-    "validate",
-]
+_EXPORTS = {
+    "bmatrix": (
+        "BoolMatrix",
+        "NotSquareError",
+        "Permutation",
+        "bool_mul",
+        "flip_transpose",
+        "format_index_vector",
+        "identity",
+        "is_idempotent",
+        "parse_index_vector",
+        "permute_similar",
+    ),
+    "domination": (
+        "NotChangeableError",
+        "OrbitResult",
+        "changeable_entries",
+        "domination_orbit",
+        "domination_relations",
+        "flip_entry",
+        "incidence_matrix",
+        "index_of",
+        "permute",
+        "reduce_to_poset_matrix",
+    ),
+    "enumeration": (
+        "ClassReport",
+        "canonical_form",
+        "canonical_labelling",
+        "classify_index_vectors",
+        "count_isomorphism_classes",
+        "count_poset_matrices",
+        "dual_class_check",
+        "enumerate_poset_matrices",
+        "pascal_class",
+    ),
+    "ideals": (
+        "antichain_table",
+        "antichain_to_ideal",
+        "count_fixed_points",
+        "count_ideals",
+        "dedekind",
+        "ideal_to_antichain",
+        "identity_antichain_check",
+        "is_antichain",
+        "is_fixed_point",
+        "is_ideal",
+        "iter_ideals",
+        "principal_ideal",
+    ),
+    "pascal": (
+        "check_index_vector",
+        "induced_submatrix",
+        "lucas_entry",
+        "pascal_matrix",
+        "support",
+        "support_poset_matrix",
+    ),
+    "posetcore": (
+        "NotTransitiveError",
+        "NotUnitLowerTriangularError",
+        "PosetMatrix",
+        "PosetValidationError",
+        "dual",
+        "dual_index",
+        "embed",
+        "even_odd_moves",
+        "is_self_dual_index",
+        "realize",
+        "validate",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+# ideal_to_antichain resolves like every other name but has never been in __all__, so star imports bind what they did.
+__all__ = sorted(_MODULE_OF.keys() - {"ideal_to_antichain"})
+
+
+def __getattr__(name: str):
+    """A public name, imported from its module on first access and kept in the package namespace."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _MODULE_OF.keys())

@@ -4,40 +4,21 @@ Exit codes: 0 success, 1 domain failure (invalid matrix, bad vector,
 failed check), 2 usage error (argparse), 3 I/O error.  Output goes to
 stdout, diagnostics to stderr; --format json selects machine-readable
 output with a stable field order.
+
+Each handler imports the library layers it runs, so a command compiles
+only those: `pm --version` loads no layer, and the result cache (with
+hashlib) loads only when a cache directory is set.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from itertools import islice
 
-from . import __version__, refdata
-from .bmatrix import BoolMatrix, NotSquareError, _row_text, format_index_vector, parse_index_vector
-from .cache import ResultCache
-from .domination import OrbitResult, DEFAULT_ORBIT_BUDGET, domination_orbit
-from .enumeration import (
-    MAX_CLASS_SIDE,
-    _class_level,
-    _poset_rows,
-    canonical_labelling,
-    count_isomorphism_classes,
-    count_poset_matrices,
-    pascal_class,
-)
-from .ideals import antichain_table, count_fixed_points, count_ideals, dedekind
-from .pascal import check_index_vector, induced_submatrix, pascal_matrix
-from .posetcore import (
-    NotTransitiveError,
-    NotUnitLowerTriangularError,
-    dual,
-    dual_index,
-    embed,
-    validate,
-)
+from . import DEFAULT_ORBIT_BUDGET, __version__
 
 
 class CliIOError(Exception):
@@ -54,8 +35,12 @@ def _read_source(path: str) -> str:
         raise CliIOError(str(exc)) from exc
 
 
-def _parse_matrix(text: str) -> BoolMatrix:
+def _parse_matrix(text: str):
+    from .bmatrix import BoolMatrix
+
     if text.lstrip().startswith("{"):
+        import json
+
         try:
             obj = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
@@ -65,6 +50,8 @@ def _parse_matrix(text: str) -> BoolMatrix:
 
 
 def _emit_json(obj) -> None:
+    import json
+
     print(json.dumps(obj, indent=2))
 
 
@@ -74,6 +61,8 @@ def _record_text(n: int, json_format: bool):
     A JSON record is the matrix's to_json_obj() as json.dumps(indent=2)
     prints it as an item of a list that is a field of the top-level object.
     """
+    from .bmatrix import _row_text
+
     table = [_row_text(row, n) for row in range(1 << n)]
     if not json_format:
         return lambda rows: "\n".join(map(table.__getitem__, rows))
@@ -91,6 +80,8 @@ def _cached(args, key: str, compute) -> dict:
     directory = args.cache_dir or os.environ.get("PM_CACHE_DIR")
     if not directory:
         return compute()
+    from .cache import ResultCache
+
     cache = ResultCache(directory)
     value = cache.get(key)
     if value is None:
@@ -106,6 +97,9 @@ def _cached(args, key: str, compute) -> dict:
 
 
 def _failure_obj(exc: Exception) -> dict:
+    from .bmatrix import NotSquareError
+    from .posetcore import NotTransitiveError, NotUnitLowerTriangularError
+
     if isinstance(exc, NotUnitLowerTriangularError):
         return {"kind": "not-unit-lower-triangular", "position": list(exc.position)}
     if isinstance(exc, NotTransitiveError):
@@ -116,6 +110,8 @@ def _failure_obj(exc: Exception) -> dict:
 
 
 def _cmd_validate(args) -> int:
+    from .posetcore import validate
+
     text = _read_source(args.source)
     try:
         a = validate(_parse_matrix(text))
@@ -133,6 +129,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_embed(args) -> int:
+    from .bmatrix import format_index_vector
+    from .posetcore import embed, validate
+
     a = validate(_parse_matrix(_read_source(args.source)))
     alpha = embed(a)
     if args.format == "json":
@@ -143,8 +142,13 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_induce(args) -> int:
-    alpha = check_index_vector(parse_index_vector(args.alpha), 1 << args.n)
-    sub = induced_submatrix(pascal_matrix(1 << args.n), alpha)
+    from .bmatrix import parse_index_vector
+    from .pascal import check_index_vector, induced_submatrix, pascal_matrix
+    from .posetcore import _check_ambient
+
+    size = 1 << _check_ambient(args.n)
+    alpha = check_index_vector(parse_index_vector(args.alpha), size)
+    sub = induced_submatrix(pascal_matrix(size), alpha)
     if args.format == "json":
         _emit_json(sub.to_json_obj())
     else:
@@ -153,6 +157,8 @@ def _cmd_induce(args) -> int:
 
 
 def _cmd_dual(args) -> int:
+    from .posetcore import dual, validate
+
     a = validate(_parse_matrix(_read_source(args.source)))
     b = dual(a)
     if args.format == "json":
@@ -163,6 +169,9 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_dual_index(args) -> int:
+    from .bmatrix import format_index_vector, parse_index_vector
+    from .posetcore import dual_index
+
     alpha = parse_index_vector(args.alpha)
     beta = dual_index(alpha, args.n)
     if args.format == "json":
@@ -173,6 +182,8 @@ def _cmd_dual_index(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .enumeration import MAX_CLASS_SIDE, _class_level, _poset_rows, count_isomorphism_classes, count_poset_matrices
+
     n = args.n
     if args.emit == "counts":
         if n > MAX_CLASS_SIDE:
@@ -215,6 +226,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_canonical(args) -> int:
+    from .bmatrix import format_index_vector
+    from .enumeration import canonical_labelling
+    from .posetcore import validate
+
     a = validate(_parse_matrix(_read_source(args.source)))
     canon, witness = canonical_labelling(a)
     if args.format == "json":
@@ -226,10 +241,16 @@ def _cmd_canonical(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
+    from .bmatrix import format_index_vector, parse_index_vector
+    from .domination import OrbitResult, domination_orbit
+    from .pascal import check_index_vector
+
     alpha = check_index_vector(parse_index_vector(args.alpha), 1 << args.n)
     if args.method == "domination":
         result = domination_orbit(alpha, args.n, budget=args.budget)
     else:
+        from .enumeration import pascal_class
+
         members = tuple(sorted(pascal_class(alpha, args.n)))
         result = OrbitResult(alpha, args.n, members, True, math.comb(1 << args.n, args.n))
     if args.format == "json":
@@ -246,12 +267,16 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_ideals(args) -> int:
+    from .ideals import antichain_table, count_fixed_points, count_ideals
+
     n = args.n
     if args.list_triples:
         records = [{"antichain": list(a), "ideal": list(i), "fixed_point": f} for a, i, f in antichain_table(n)]
         if args.format == "json":
             _emit_json({"n": n, "count": len(records), "ideals": records})
         else:
+            import json
+
             for record in records:
                 print(json.dumps(record))
         return 0
@@ -276,6 +301,8 @@ def _cmd_ideals(args) -> int:
 
 
 def _cmd_dedekind(args) -> int:
+    from .ideals import dedekind
+
     value = dedekind(args.k)
     if args.format == "json":
         _emit_json({"k": args.k, "ground_size": 1 << args.k, "count": value})
@@ -285,6 +312,8 @@ def _cmd_dedekind(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import refdata
+
     results = refdata.run_selftest()
     ok_all = all(ok for _, ok, _ in results)
     if args.format == "json":

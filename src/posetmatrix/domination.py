@@ -13,11 +13,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import DEFAULT_ORBIT_BUDGET
 from .bmatrix import BoolMatrix, iter_bits, permute  # permute is re-exported
 from .pascal import _subset_rows, check_index_vector
 from .posetcore import PosetMatrix, validate
-
-DEFAULT_ORBIT_BUDGET = 10**6
 
 
 class NotChangeableError(ValueError):

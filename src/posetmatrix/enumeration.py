@@ -19,27 +19,43 @@ MAX_CLASSIFY_SIDE = 4
 # ---- generation ----------------------------------------------------------
 
 
+def _down_sets(prefix: tuple[int, ...]) -> list[int]:
+    """Masks of the down-sets of the poset whose matrix rows are prefix, ascending.
+
+    Element j is maximal among 0..j, so the down-sets of 0..j are those of
+    0..j-1 plus each one that holds all of j's strict predecessors with j
+    added; the added masks all exceed the old ones, in the same order.
+    """
+    sets = [0]
+    for j, row in enumerate(prefix):
+        below = row ^ (1 << j)
+        sets += [s | 1 << j for s in sets if s & below == below]
+    return sets
+
+
 def _extensions(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """One-row extensions: the new row picks a downward-closed set of earlier elements."""
-    i = len(prefix)
-    for below in range(1 << i):
-        row = below | (1 << i)
-        rest = below
-        while rest:
-            low = rest & -rest
-            if prefix[low.bit_length() - 1] & ~row:
-                break
-            rest ^= low
-        else:
-            yield prefix + (row,)
+    """One-row extensions in increasing row order: the new row picks a down-set of the earlier elements."""
+    top = 1 << len(prefix)
+    return (prefix + (s | top,) for s in _down_sets(prefix))
 
 
-def _complete(prefix: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
-    if len(prefix) == n:
-        yield prefix
+def _complete(prefix: tuple[int, ...], sets: list[int], n: int) -> Iterator[tuple[int, ...]]:
+    """Side-n completions of prefix, whose down-sets are sets, in increasing row order.
+
+    The down-sets of prefix + (below | top,) are sets plus, with the new
+    element added, those that hold below; so each child gets its list
+    without a scan of the 2**i candidate rows.  The last row is read
+    straight from sets: lists built for the leaves would cost several
+    times the rest of the walk.
+    """
+    top = 1 << len(prefix)
+    if len(prefix) == n - 1:
+        for below in sets:
+            yield prefix + (below | top,)
         return
-    for ext in _extensions(prefix):
-        yield from _complete(ext, n)
+    for below in sets:
+        child_sets = sets + [s | top for s in sets if s & below == below]
+        yield from _complete(prefix + (below | top,), child_sets, n)
 
 
 def _poset_rows(n: int) -> Iterator[tuple[int, ...]]:
@@ -49,7 +65,7 @@ def _poset_rows(n: int) -> Iterator[tuple[int, ...]]:
     """
     if not 0 <= n <= MAX_ENUM_SIDE:
         raise ValueError(f"enumeration supports n in [0, {MAX_ENUM_SIDE}], got {n}")
-    return _complete((), n)
+    return _complete((), [0], n) if n else iter([()])
 
 
 def enumerate_poset_matrices(n: int) -> Iterator[PosetMatrix]:
@@ -66,14 +82,6 @@ def enumerate_poset_matrices(n: int) -> Iterator[PosetMatrix]:
 # ---- canonical labelling -------------------------------------------------
 
 
-def _bit_string_key(row: int, n: int) -> int:
-    """Row mask reordered so that column 0 is the most significant comparison bit."""
-    key = 0
-    for j in iter_bits(row):
-        key |= 1 << (n - 1 - j)
-    return key
-
-
 @lru_cache(maxsize=300_000)
 def _canonical_rows(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Least relabelling of a poset-matrix row tuple, with the old->new witness map.
@@ -81,7 +89,11 @@ def _canonical_rows(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, 
     Branch-and-bound over position assignments: a position can take any
     element whose predecessors are all placed (so the result stays a poset
     matrix), candidates are tried in row-major bit-string order, and a branch
-    dies as soon as its key prefix exceeds the incumbent's.
+    dies as soon as its key prefix exceeds the incumbent's.  A row's key is
+    its mask with the bit order reversed (column 0 most significant).  Each
+    placed element keeps its position's row bit and key bit, so a
+    candidate's row and key are its own position's bits or-ed with those
+    of its predecessors.
 
     Twins (elements with equal predecessor and successor masks) are
     interchangeable: swapping two unplaced twins is an automorphism fixing
@@ -94,9 +106,10 @@ def _canonical_rows(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, 
     if n == 0:
         return (), ()
     preds = [rows[i] ^ (1 << i) for i in range(n)]
+    pred_lists = [list(iter_bits(p)) for p in preds]
     succs = [0] * n
     for i in range(n):
-        for p in iter_bits(preds[i]):
+        for p in pred_lists[i]:
             succs[p] |= 1 << i
     smaller_twins = [0] * n
     twins_so_far: dict[tuple[int, int], int] = {}
@@ -104,7 +117,8 @@ def _canonical_rows(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, 
         key = (preds[e], succs[e])
         smaller_twins[e] = twins_so_far.get(key, 0)
         twins_so_far[key] = smaller_twins[e] | (1 << e)
-    pos_of = [-1] * n
+    row_bit = [0] * n
+    key_bit = [0] * n
     best_keys: list[int] | None = None
     best_rows: tuple[int, ...] = ()
     best_map: tuple[int, ...] = ()
@@ -125,21 +139,21 @@ def _canonical_rows(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, 
         for e in range(n):
             if used >> e & 1 or (preds[e] | smaller_twins[e]) & ~used:
                 continue
-            row = 1 << k
-            for p in iter_bits(preds[e]):
-                row |= 1 << pos_of[p]
-            cands.append((_bit_string_key(row, n), row, e))
+            row, key = 1 << k, 1 << (n - 1 - k)
+            for p in pred_lists[e]:
+                row |= row_bit[p]
+                key |= key_bit[p]
+            cands.append((key, row, e))
         cands.sort()
         for key, row, e in cands:
             keys.append(key)
             if best_keys is None or keys <= best_keys[: k + 1]:
-                pos_of[e] = k
+                row_bit[e], key_bit[e] = 1 << k, 1 << (n - 1 - k)
                 order.append(e)
                 new_rows.append(row)
                 walk(order, used | (1 << e), keys, new_rows)
                 new_rows.pop()
                 order.pop()
-                pos_of[e] = -1
             keys.pop()
 
     walk([], 0, [], [])
@@ -191,7 +205,7 @@ def count_poset_matrices(n: int) -> int:
         raise ValueError(f"enumeration supports n in [0, {MAX_ENUM_SIDE}], got {n}")
     if n == 0:
         return 1
-    return sum(w * sum(1 for _ in _extensions(c)) for c, w in _class_level(n - 1).items())
+    return sum(w * len(_down_sets(c)) for c, w in _class_level(n - 1).items())
 
 
 def count_isomorphism_classes(n: int) -> int:

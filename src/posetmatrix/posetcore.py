@@ -20,6 +20,13 @@ from .pascal import _subset_rows, check_index_vector
 MAX_EMBED_LOG = 6
 
 
+def _check_ambient(n: int) -> int:
+    """n itself, once it is an ambient exponent in [0, MAX_EMBED_LOG]."""
+    if not 0 <= n <= MAX_EMBED_LOG:
+        raise ValueError(f"ambient exponent must be in [0, {MAX_EMBED_LOG}], got {n}")
+    return n
+
+
 class PosetValidationError(ValueError):
     """A Boolean matrix failed one of the poset-matrix checks."""
 
@@ -116,9 +123,7 @@ def realize(alpha: Sequence[int], ambient_log: int) -> PosetMatrix:
     Entry (i, j) is the subset test support(alpha[j]) <= support(alpha[i]);
     the result is always a valid poset matrix.
     """
-    if not 0 <= ambient_log <= MAX_EMBED_LOG:
-        raise ValueError(f"ambient exponent must be in [0, {MAX_EMBED_LOG}], got {ambient_log}")
-    entries = check_index_vector(alpha, 1 << ambient_log)
+    entries = check_index_vector(alpha, 1 << _check_ambient(ambient_log))
     return validate(BoolMatrix(len(entries), _subset_rows(entries)))
 
 
@@ -129,9 +134,7 @@ def dual(a: PosetMatrix) -> PosetMatrix:
 
 def dual_index(alpha: Sequence[int], n: int) -> tuple[int, ...]:
     """Index vector of the dual realization: complement each entry against 2**n - 1 and reverse."""
-    if not 0 <= n <= MAX_EMBED_LOG:
-        raise ValueError(f"ambient exponent must be in [0, {MAX_EMBED_LOG}], got {n}")
-    entries = check_index_vector(alpha, 1 << n)
+    entries = check_index_vector(alpha, 1 << _check_ambient(n))
     top = (1 << n) - 1
     return tuple(top - a for a in reversed(entries))
 
@@ -149,9 +152,7 @@ def even_odd_moves(alpha: Sequence[int], n: int) -> frozenset[tuple[int, ...]]:
     parity: no moves.  Every returned vector realizes an isomorphic poset
     in the same 2**n ambient.
     """
-    if not 0 <= n <= MAX_EMBED_LOG:
-        raise ValueError(f"ambient exponent must be in [0, {MAX_EMBED_LOG}], got {n}")
-    entries = check_index_vector(alpha, 1 << n)
+    entries = check_index_vector(alpha, 1 << _check_ambient(n))
     if not entries:
         return frozenset()
     if all(a % 2 == 0 for a in entries):

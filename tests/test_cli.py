@@ -101,6 +101,14 @@ def test_induce_json(capsys):
     assert json.loads(out.out) == {"n": 4, "rows": ["1000", "0100", "0010", "0111"]}
 
 
+@pytest.mark.parametrize("command", ["induce", "dual-index"])
+@pytest.mark.parametrize("n", ["-1", "7"])
+def test_ambient_exponent_out_of_range_names_the_flag(capsys, command, n):
+    out = run_cli(capsys, command, "--n", n, "--alpha", "1,2", expect=1)
+    assert out.out == ""
+    assert out.err == f"pm: ambient exponent must be in [0, 6], got {n}\n"
+
+
 def test_dual_text(tmp_path, capsys):
     path = write_matrix(tmp_path, V_MATRIX)
     out = run_cli(capsys, "dual", path)

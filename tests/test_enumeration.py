@@ -110,11 +110,35 @@ def unpruned_canonical_rows(rows):
     return best[1], best[2]
 
 
+def candidate_scan_extensions(prefix):
+    """One-row extensions found by testing all 2**i candidate rows bit by bit: the reference for _extensions."""
+    i = len(prefix)
+    for below in range(1 << i):
+        row = below | (1 << i)
+        rest = below
+        while rest:
+            low = rest & -rest
+            if prefix[low.bit_length() - 1] & ~row:
+                break
+            rest ^= low
+        else:
+            yield prefix + (row,)
+
+
+def candidate_scan_completions(prefix, n):
+    """Side-n completions of prefix by recursive candidate scans: the reference for _poset_rows."""
+    if len(prefix) == n:
+        yield prefix
+        return
+    for ext in candidate_scan_extensions(prefix):
+        yield from candidate_scan_completions(ext, n)
+
+
 def random_poset_rows(rng, n):
     """A naturally labelled poset: each new row takes a random order ideal of the earlier elements."""
     rows = ()
     for _ in range(n):
-        rows = rng.choice(list(enumeration._extensions(rows)))
+        rows = rng.choice(list(candidate_scan_extensions(rows)))
     return rows
 
 
@@ -197,6 +221,25 @@ def test_poset_rows_validate_and_match_enumeration():
         assert rows_list == [a.rows for a in enumerate_poset_matrices(n)]
     with pytest.raises(ValueError):
         _poset_rows(MAX_ENUM_SIDE + 1)
+
+
+@pytest.mark.slow
+def test_poset_rows_validate_side_7():
+    rows_list = list(_poset_rows(7))
+    assert [validate(BoolMatrix(7, rows)).rows for rows in rows_list] == rows_list
+
+
+def test_extensions_match_candidate_scan():
+    prefixes = [rows for n in range(7) for rows in candidate_scan_completions((), n)]
+    rng = random.Random(20261018)
+    prefixes += [random_poset_rows(rng, n) for n in (7, 8) for _ in range(200)]
+    for prefix in prefixes:
+        assert list(enumeration._extensions(prefix)) == list(candidate_scan_extensions(prefix)), prefix
+
+
+def test_poset_rows_match_candidate_scan():
+    for n in range(8):
+        assert list(_poset_rows(n)) == list(candidate_scan_completions((), n)), n
 
 
 def test_tree_count_matches_enumeration():
