@@ -92,9 +92,7 @@ _EXPORTS = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-
-# ideal_to_antichain resolves like every other name but has never been in __all__, so star imports bind what they did.
-__all__ = sorted(_MODULE_OF.keys() - {"ideal_to_antichain"})
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):

@@ -8,7 +8,7 @@ the set bits of each row of the left one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 MAX_SIDE = 64
@@ -36,23 +36,58 @@ def _row_text(row: int, n: int) -> str:
     return bin(row | 1 << n)[:2:-1]
 
 
-@dataclass(frozen=True)
-class BoolMatrix:
+class _Value:
+    """Frozen value compared, hashed, shown and pickled as the tuple of its __slots__ values, stored by _set."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        get = attrgetter(*cls.__slots__)
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)  # past the frozen __setattr__
+
+    def _set(self, *values) -> None:
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BoolMatrix(_Value):
     """Immutable square Boolean matrix; ``rows[i] >> j & 1`` is entry (i, j)."""
 
-    n: int
-    rows: tuple[int, ...]
+    __slots__ = ("n", "rows")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_SIDE:
-            raise ValueError(f"matrix side must be in [0, {MAX_SIDE}], got {self.n}")
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if len(self.rows) != self.n:
-            raise NotSquareError(f"expected {self.n} rows, got {len(self.rows)}")
-        top = (1 << self.n) - 1
-        for i, row in enumerate(self.rows):
+    def __init__(self, n: int, rows: Iterable[int]) -> None:
+        if not 0 <= n <= MAX_SIDE:
+            raise ValueError(f"matrix side must be in [0, {MAX_SIDE}], got {n}")
+        rows = tuple(rows)
+        if len(rows) != n:
+            raise NotSquareError(f"expected {n} rows, got {len(rows)}")
+        top = (1 << n) - 1
+        for i, row in enumerate(rows):
             if not 0 <= row <= top:
-                raise ValueError(f"row {i} does not fit in {self.n} columns")
+                raise ValueError(f"row {i} does not fit in {n} columns")
+        self._set(n, rows)
 
     def entry(self, i: int, j: int) -> int:
         """Entry (i, j) as 0 or 1."""
@@ -139,16 +174,16 @@ def is_idempotent(a: BoolMatrix) -> bool:
     return bool_mul(a, a) == a
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Value):
     """Bijection on {0, ..., n-1}; ``mapping[i]`` is the image of i."""
 
-    mapping: tuple[int, ...]
+    __slots__ = ("mapping",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mapping", tuple(self.mapping))
-        if sorted(self.mapping) != list(range(len(self.mapping))):
-            raise ValueError(f"not a bijection on 0..{len(self.mapping) - 1}: {self.mapping}")
+    def __init__(self, mapping: Iterable[int]) -> None:
+        mapping = tuple(mapping)
+        if sorted(mapping) != list(range(len(mapping))):
+            raise ValueError(f"not a bijection on 0..{len(mapping) - 1}: {mapping}")
+        self._set(mapping)
 
     @property
     def n(self) -> int:

@@ -1,4 +1,4 @@
-"""Small file-backed result cache for the expensive counting commands.
+"""Small file-backed result cache for the class counts of `pm enumerate --emit counts`.
 
 Each entry is one JSON file carrying the key, the library version, the
 value, and a checksum of the value's canonical JSON form.  A corrupt,
@@ -14,6 +14,8 @@ import os
 import re
 import tempfile
 
+from . import __version__
+
 
 def _checksum(value) -> str:
     canonical = json.dumps(value, sort_keys=True, separators=(",", ":"))
@@ -27,11 +29,8 @@ def _filename(key: str) -> str:
 class ResultCache:
     """Directory of {key, version, value, checksum} JSON files."""
 
-    def __init__(self, directory: str, version: str | None = None):
-        from . import __version__
-
+    def __init__(self, directory: str):
         self.directory = directory
-        self.version = version or __version__
 
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, _filename(key))
@@ -45,7 +44,7 @@ class ResultCache:
             return None
         if not isinstance(entry, dict):
             return None
-        if entry.get("key") != key or entry.get("version") != self.version:
+        if entry.get("key") != key or entry.get("version") != __version__:
             return None
         value = entry.get("value")
         if entry.get("checksum") != _checksum(value):
@@ -57,7 +56,7 @@ class ResultCache:
         os.makedirs(self.directory, exist_ok=True)
         entry = {
             "key": key,
-            "version": self.version,
+            "version": __version__,
             "value": value,
             "checksum": _checksum(value),
         }

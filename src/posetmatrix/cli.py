@@ -7,7 +7,7 @@ output with a stable field order.
 
 Each handler imports the library layers it runs, so a command compiles
 only those: `pm --version` loads no layer, and the result cache (with
-hashlib) loads only when a cache directory is set.
+hashlib) loads only for `enumerate --emit counts` with a cache directory.
 """
 
 from __future__ import annotations
@@ -243,9 +243,8 @@ def _cmd_canonical(args) -> int:
 def _cmd_orbit(args) -> int:
     from .bmatrix import format_index_vector, parse_index_vector
     from .domination import OrbitResult, domination_orbit
-    from .pascal import check_index_vector
 
-    alpha = check_index_vector(parse_index_vector(args.alpha), 1 << args.n)
+    alpha = parse_index_vector(args.alpha)
     if args.method == "domination":
         result = domination_orbit(alpha, args.n, budget=args.budget)
     else:
@@ -280,7 +279,7 @@ def _cmd_ideals(args) -> int:
             for record in records:
                 print(json.dumps(record))
         return 0
-    count = _cached(args, f"ideals:n={n}", lambda: {"count": count_ideals(n)})["count"]
+    count = count_ideals(n)
     scanned = None
     if args.check_fixed_points:
         scanned = count_fixed_points(n)
@@ -346,13 +345,13 @@ def _positive_int(text: str) -> int:
 
 def _common_flags(sub: argparse.ArgumentParser, cached: bool = False) -> None:
     sub.add_argument("--format", choices=("text", "json"), default="text", help="output format")
-    if not cached:  # --jobs and --cache-dir belong to the subcommands that read the cache
+    if not cached:  # --jobs and --cache-dir belong to enumerate and ideals
         return
     sub.add_argument("--jobs", type=_positive_int, default=1, help="accepted and ignored (N >= 1); every command runs in one process")
     sub.add_argument(
         "--cache-dir",
         default=None,
-        help="directory for memoized counts (falls back to $PM_CACHE_DIR)",
+        help="directory for memoized enumerate --emit counts results (falls back to $PM_CACHE_DIR); ideals ignores it",
     )
 
 

@@ -10,13 +10,12 @@ class of the poset the vector selects from the Pascal matrix.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import DEFAULT_ORBIT_BUDGET
-from .bmatrix import BoolMatrix, iter_bits, permute  # permute is re-exported
-from .pascal import _subset_rows, check_index_vector
-from .posetcore import PosetMatrix, validate
+from .bmatrix import BoolMatrix, _Value, iter_bits, permute  # permute is re-exported
+from .pascal import _subset_rows
+from .posetcore import PosetMatrix, _check_orbit_vector, validate
 
 
 class NotChangeableError(ValueError):
@@ -83,11 +82,6 @@ def _changeable_columns(rows: Sequence[int], i: int) -> int:
     return full & ~blocked
 
 
-def _changeable(rows: Sequence[int]) -> list[tuple[int, int]]:
-    """Row-major positions whose single flip leaves every pairwise row domination intact."""
-    return [(i, j) for i in range(len(rows)) for j in iter_bits(_changeable_columns(rows, i))]
-
-
 def changeable_entries(m: BoolMatrix) -> frozenset[tuple[int, int]]:
     """Positions whose single flip leaves every pairwise row domination intact.
 
@@ -96,7 +90,7 @@ def changeable_entries(m: BoolMatrix) -> frozenset[tuple[int, int]]:
     changeable, but a below-diagonal zero may be: (2, 1) of rows (1, 3, 4)
     flips to rows (1, 3, 6) with the single domination pair (0, 1) intact.
     """
-    return frozenset(_changeable(m.rows))
+    return frozenset((i, j) for i in range(m.n) for j in iter_bits(_changeable_columns(m.rows, i)))
 
 
 def flip_entry(m: BoolMatrix, i: int, j: int) -> BoolMatrix:
@@ -124,15 +118,13 @@ def reduce_to_poset_matrix(m: BoolMatrix) -> PosetMatrix:
     return validate(BoolMatrix(m.n, _subset_rows(rows)))
 
 
-@dataclass(frozen=True)
-class OrbitResult:
+class OrbitResult(_Value):
     """Outcome of the breadth-first orbit walk."""
 
-    alpha: tuple[int, ...]
-    n: int
-    members: tuple[tuple[int, ...], ...]
-    exhausted: bool
-    states_visited: int
+    __slots__ = ("alpha", "n", "members", "exhausted", "states_visited")
+
+    def __init__(self, alpha, n, members, exhausted, states_visited) -> None:
+        self._set(alpha, n, members, exhausted, states_visited)
 
     def to_json_obj(self) -> dict:
         return {
@@ -160,9 +152,7 @@ def domination_orbit(alpha: Sequence[int], n: int, budget: int = DEFAULT_ORBIT_B
     n - 1 + n * n successors; when the budget runs out the result carries
     exhausted=False and whatever was reached so far.
     """
-    entries = check_index_vector(alpha, 1 << n)
-    if len(entries) != n:
-        raise ValueError(f"need exactly {n} entries, got {len(entries)}")
+    entries = _check_orbit_vector(alpha, n)
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
     swaps = [(c, c + 1, 3 << c) for c in range(n - 1)]

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .bmatrix import BoolMatrix, Permutation, iter_bits
-from .pascal import check_index_vector
-from .posetcore import PosetMatrix, dual_index, realize
+from .bmatrix import BoolMatrix, Permutation, _Value, iter_bits
+from .posetcore import PosetMatrix, _check_orbit_vector, dual_index, realize
 
 MAX_ENUM_SIDE = 8
 MAX_CLASS_SIDE = 8
@@ -218,15 +216,13 @@ def count_isomorphism_classes(n: int) -> int:
 # ---- index-vector classification -----------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(_Value):
     """One isomorphism class seen through the index vectors that select it."""
 
-    n: int
-    canonical: PosetMatrix
-    class_size_labelled: int
-    index_vector_count: int
-    sample_index_vectors: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "canonical", "class_size_labelled", "index_vector_count", "sample_index_vectors")
+
+    def __init__(self, n, canonical, class_size_labelled, index_vector_count, sample_index_vectors) -> None:
+        self._set(n, canonical, class_size_labelled, index_vector_count, sample_index_vectors)
 
 
 @lru_cache(maxsize=None)
@@ -262,9 +258,7 @@ def pascal_class(alpha: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
     """Every index vector whose realization is isomorphic to alpha's, by exhaustive scan."""
     if not 0 <= n <= MAX_CLASSIFY_SIDE:
         raise ValueError(f"class scans support n in [0, {MAX_CLASSIFY_SIDE}], got {n}")
-    entries = check_index_vector(alpha, 1 << n)
-    if len(entries) != n:
-        raise ValueError(f"need exactly {n} entries, got {len(entries)}")
+    entries = _check_orbit_vector(alpha, n)
     return _class_table(n)[_canonical_rows(realize(entries, n).rows)[0]]
 
 

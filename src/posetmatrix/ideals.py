@@ -32,11 +32,7 @@ def principal_ideal(i: int, n: int) -> int:
 
 def is_ideal(mask: int, n: int) -> bool:
     """True when mask is downward closed in the support order."""
-    _check_mask(mask, n)
-    for e in iter_bits(mask):
-        if principal_ideal(e, n) & ~mask:
-            return False
-    return True
+    return antichain_to_ideal(mask, n) == mask
 
 
 def is_antichain(mask: int, n: int) -> bool:
@@ -154,15 +150,11 @@ def identity_antichain_check(alpha, n: int) -> bool:
     return induced_submatrix(pascal_matrix(n), entries) == identity(len(entries))
 
 
-def _mask_to_tuple(mask: int) -> tuple[int, ...]:
-    return tuple(iter_bits(mask))
-
-
 def antichain_table(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...], str]]:
     """(antichain, ideal, fixed-point string) for every ideal, by antichain size then entries."""
     rows = []
     for ideal_mask in iter_ideals(n):
         anti = ideal_to_antichain(ideal_mask, n)
-        rows.append((_mask_to_tuple(anti), _mask_to_tuple(ideal_mask), _row_text(ideal_mask, n)))
+        rows.append((tuple(iter_bits(anti)), tuple(iter_bits(ideal_mask)), _row_text(ideal_mask, n)))
     rows.sort(key=lambda triple: (len(triple[0]), triple[0]))
     return rows

@@ -9,10 +9,9 @@ positions given by reading each row as an integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .bmatrix import BoolMatrix, flip_transpose
+from .bmatrix import BoolMatrix, _Value, flip_transpose
 from .pascal import _subset_rows, check_index_vector
 
 # Embedded vectors index into the Pascal matrix of side 2**n; with rows held
@@ -25,6 +24,14 @@ def _check_ambient(n: int) -> int:
     if not 0 <= n <= MAX_EMBED_LOG:
         raise ValueError(f"ambient exponent must be in [0, {MAX_EMBED_LOG}], got {n}")
     return n
+
+
+def _check_orbit_vector(alpha: Sequence[int], n: int) -> tuple[int, ...]:
+    """alpha as a tuple, once it is an index vector of exactly n entries in the Pascal matrix of side 2**n."""
+    entries = check_index_vector(alpha, 1 << _check_ambient(n))
+    if len(entries) != n:
+        raise ValueError(f"need exactly {n} entries, got {len(entries)}")
+    return entries
 
 
 class PosetValidationError(ValueError):
@@ -74,19 +81,19 @@ def _first_transitivity_failure(m: BoolMatrix) -> Optional[tuple[int, int, int]]
     return None
 
 
-@dataclass(frozen=True)
-class PosetMatrix:
+class PosetMatrix(_Value):
     """A BoolMatrix checked to be unit lower triangular and transitive."""
 
-    matrix: BoolMatrix
+    __slots__ = ("matrix",)
 
-    def __post_init__(self) -> None:
-        shape = _first_triangular_failure(self.matrix)
+    def __init__(self, matrix: BoolMatrix) -> None:
+        shape = _first_triangular_failure(matrix)
         if shape is not None:
             raise NotUnitLowerTriangularError(*shape)
-        triple = _first_transitivity_failure(self.matrix)
+        triple = _first_transitivity_failure(matrix)
         if triple is not None:
             raise NotTransitiveError(*triple)
+        self._set(matrix)
 
     @property
     def n(self) -> int:

@@ -152,7 +152,7 @@ def _check_four_element_orbit_chain(spec_entry) -> tuple[bool, str]:
     return True, f"orbit of {len(members)} vectors"
 
 
-def _check_pascal_8(spec_entry) -> tuple[bool, str]:
+def _check_pascal_8_idempotent(spec_entry) -> tuple[bool, str]:
     p = pascal_matrix(8)
     return p.rows == spec_entry["rows"] and is_idempotent(p), "rows and idempotence"
 
@@ -200,27 +200,11 @@ def _check_birkhoff_counts(spec_entry) -> tuple[bool, str]:
     return ok, f"matrices {got[0]}, classes {got[1]}"
 
 
-_CHECKERS = {
-    "ideal-count-table": _check_ideal_count_table,
-    "fixed-point-scan": _check_fixed_point_scan,
-    "antichain-ideal-table": _check_antichain_ideal_table,
-    "three-element-census": _check_three_element_census,
-    "three-element-embedding": _check_three_element_embedding,
-    "four-element-orbit-chain": _check_four_element_orbit_chain,
-    "pascal-8-idempotent": _check_pascal_8,
-    "dual-index-pair": _check_dual_index_pair,
-    "self-dual-vector": _check_self_dual_vector,
-    "flip-transpose-pair": _check_flip_transpose_pair,
-    "dedekind-small": _check_dedekind_small,
-    "birkhoff-counts": _check_birkhoff_counts,
-}
-
-
 def run_selftest() -> list[tuple[str, bool, str]]:
-    """Replay every manifest entry; returns (id, ok, detail) in manifest order."""
+    """Replay every manifest entry, entry "some-id" by _check_some_id; returns (id, ok, detail) in manifest order."""
     results = []
     for entry in REFERENCE_CHECKS:
-        checker = _CHECKERS[entry["id"]]
+        checker = globals()["_check_" + entry["id"].replace("-", "_")]
         try:
             ok, detail = checker(entry)
         except Exception as exc:  # a crash is a failure, not an abort

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -107,6 +108,25 @@ def test_ambient_exponent_out_of_range_names_the_flag(capsys, command, n):
     out = run_cli(capsys, command, "--n", n, "--alpha", "1,2", expect=1)
     assert out.out == ""
     assert out.err == f"pm: ambient exponent must be in [0, 6], got {n}\n"
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+@pytest.mark.parametrize("n", ["-1", "7", str(10**10), str(10**20), str(-(10**20))])
+def test_orbit_ambient_exponent_out_of_range_allocates_nothing(n):
+    # Under a 512 MB address-space cap, 1 << n for n = 10**10 (a 1.25 GB integer) fails
+    # if it runs before the range check, so this fails unless --n is checked first.
+    proc = subprocess.run(
+        [sys.executable, "-m", "posetmatrix", "orbit", "--n", n, "--alpha", "1"],
+        preexec_fn=_limit_address_space,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"pm: ambient exponent must be in [0, 6], got {n}\n"
 
 
 def test_dual_text(tmp_path, capsys):
@@ -300,24 +320,28 @@ def test_selftest_json(capsys):
 # ---- cache ----
 
 
+COUNTS_3 = ("enumerate", "--n", "3", "--emit", "counts")
+COUNTS_3_TEXT = "poset matrices: 7\nisomorphism classes: 5\n"
+
+
 def test_cache_round_trip(tmp_path, capsys):
     cache_dir = str(tmp_path / "cache")
-    first = run_cli(capsys, "ideals", "--n", "9", "--cache-dir", cache_dir)
+    first = run_cli(capsys, *COUNTS_3, "--cache-dir", cache_dir)
     files = list((tmp_path / "cache").iterdir())
-    assert len(files) == 1 and files[0].name == "ideals-n-9.json"
-    second = run_cli(capsys, "ideals", "--n", "9", "--cache-dir", cache_dir)
-    assert first.out == second.out == "39\n"
+    assert len(files) == 1 and files[0].name == "enumerate-n-3-emit-counts.json"
+    second = run_cli(capsys, *COUNTS_3, "--cache-dir", cache_dir)
+    assert first.out == second.out == COUNTS_3_TEXT
 
 
 def test_cache_corruption_recomputes(tmp_path, capsys):
     cache_dir = tmp_path / "cache"
-    run_cli(capsys, "ideals", "--n", "9", "--cache-dir", str(cache_dir))
+    run_cli(capsys, *COUNTS_3, "--cache-dir", str(cache_dir))
     victim = next(cache_dir.iterdir())
     entry = json.loads(victim.read_text())
-    entry["value"]["count"] = 1000
+    entry["value"]["poset_matrices"] = 1000
     victim.write_text(json.dumps(entry))
-    out = run_cli(capsys, "ideals", "--n", "9", "--cache-dir", str(cache_dir))
-    assert out.out == "39\n"  # checksum mismatch forces recomputation
+    out = run_cli(capsys, *COUNTS_3, "--cache-dir", str(cache_dir))
+    assert out.out == COUNTS_3_TEXT  # checksum mismatch forces recomputation
 
 
 @pytest.mark.parametrize("below", ["sub", None])
@@ -327,8 +351,8 @@ def test_cache_dir_blocked_by_regular_file(tmp_path, capsys, below):
     blocker = tmp_path / "afile"
     blocker.write_text("a regular file\n")
     cache_dir = blocker / below if below else blocker
-    out = run_cli(capsys, "ideals", "--n", "9", "--cache-dir", str(cache_dir))
-    assert out.out == "39\n"
+    out = run_cli(capsys, *COUNTS_3, "--cache-dir", str(cache_dir))
+    assert out.out == COUNTS_3_TEXT
     assert out.err.startswith("pm: warning: ") and "Traceback" not in out.err
     assert blocker.read_text() == "a regular file\n"
 

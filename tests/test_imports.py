@@ -19,9 +19,9 @@ OrbitResult Permutation PosetMatrix PosetValidationError antichain_table anticha
 canonical_form canonical_labelling changeable_entries check_index_vector classify_index_vectors
 count_fixed_points count_ideals count_isomorphism_classes count_poset_matrices dedekind domination_orbit
 domination_relations dual dual_class_check dual_index embed enumerate_poset_matrices even_odd_moves
-flip_entry flip_transpose format_index_vector identity identity_antichain_check incidence_matrix index_of
-induced_submatrix is_antichain is_fixed_point is_ideal is_idempotent is_self_dual_index iter_ideals
-lucas_entry parse_index_vector pascal_class pascal_matrix permute permute_similar principal_ideal realize
+flip_entry flip_transpose format_index_vector ideal_to_antichain identity identity_antichain_check
+incidence_matrix index_of induced_submatrix is_antichain is_fixed_point is_ideal is_idempotent is_self_dual_index
+iter_ideals lucas_entry parse_index_vector pascal_class pascal_matrix permute permute_similar principal_ideal realize
 reduce_to_poset_matrix support support_poset_matrix validate
 """.split()
 
@@ -29,7 +29,8 @@ reduce_to_poset_matrix support support_poset_matrix validate
 with open(os.path.join(os.path.dirname(__file__), "cli_help.json"), encoding="utf-8") as _fh:
     HELP_TEXTS = json.load(_fh)
 
-# Runs `pm ARGS...` as the console script does and writes the posetmatrix modules it loaded to the file OUT.
+# Runs `pm ARGS...` as the console script does and writes to the file OUT the posetmatrix modules it
+# loaded, and dataclasses and inspect if it loaded them.
 PROBE = """
 import json, sys
 from posetmatrix.cli import main
@@ -39,7 +40,8 @@ try:
 except SystemExit as exc:
     code = exc.code
 with open(out, "w") as fh:
-    json.dump([code, sorted(m for m in sys.modules if m.split(".")[0] == "posetmatrix")], fh)
+    recorded = ("posetmatrix", "dataclasses", "inspect")
+    json.dump([code, sorted(m for m in sys.modules if m.split(".")[0] in recorded)], fh)
 """
 
 
@@ -52,7 +54,7 @@ def _env(**extra):
 
 
 def loaded_by(tmp_path, *argv, **env):
-    """Exit code of `pm argv...` in a fresh interpreter, and the posetmatrix modules it loaded."""
+    """Exit code of `pm argv...` in a fresh interpreter, and the modules it loaded that PROBE records."""
     out = tmp_path / "modules.json"
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, str(out), *argv], env=_env(**env), capture_output=True, timeout=60
@@ -70,7 +72,7 @@ def test_import_and_dir_load_no_module():
     code = (
         "import sys, posetmatrix; names = set(dir(posetmatrix));"
         "print(sorted(m for m in sys.modules if m.startswith('posetmatrix')));"
-        "print(names >= set(posetmatrix.__all__) | {'ideal_to_antichain'})"
+        "print(names >= set(posetmatrix.__all__))"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -78,7 +80,7 @@ def test_import_and_dir_load_no_module():
 
 
 def test_public_names_resolve_to_their_modules():
-    for name in posetmatrix.__all__ + ["ideal_to_antichain"]:
+    for name in posetmatrix.__all__:
         value = getattr(posetmatrix, name)
         module = importlib.import_module(f"posetmatrix.{posetmatrix._MODULE_OF[name]}")
         assert value is getattr(module, name), name
@@ -115,6 +117,49 @@ def test_cache_loads_only_with_a_cache_directory(tmp_path):
     assert "posetmatrix.cache" not in loaded_by(tmp_path, *argv)[1]
     assert "posetmatrix.cache" in loaded_by(tmp_path, *argv, "--cache-dir", str(tmp_path / "flag"))[1]
     assert "posetmatrix.cache" in loaded_by(tmp_path, *argv, PM_CACHE_DIR=str(tmp_path / "env"))[1]
+
+
+def test_ideals_ignores_the_cache_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("PM_CACHE_DIR", raising=False)
+    cache_dir = tmp_path / "cache"
+    assert main(["ideals", "--n", "9", "--cache-dir", str(cache_dir)]) == 0
+    assert capsys.readouterr() == ("39\n", "")
+    assert not cache_dir.exists()
+    argv = ("ideals", "--n", "9", "--cache-dir", str(cache_dir))
+    assert "posetmatrix.cache" not in loaded_by(tmp_path, *argv, PM_CACHE_DIR=str(cache_dir))[1]
+    assert not cache_dir.exists()
+
+
+MATRIX = "100\n110\n101\n"
+COMMANDS = (
+    ["--version"],
+    ["validate", "M"],
+    ["embed", "M"],
+    ["induce", "--n", "2", "--alpha", "1,2"],
+    ["dual", "M"],
+    ["dual-index", "--n", "2", "--alpha", "1"],
+    ["enumerate", "--n", "3", "--format", "json"],
+    ["enumerate", "--n", "3", "--emit", "canonical"],
+    ["enumerate", "--n", "3", "--emit", "counts", "--cache-dir", "D"],
+    ["canonical", "M"],
+    ["orbit", "--n", "3", "--alpha", "1,2,4", "--format", "json"],
+    ["orbit", "--n", "2", "--alpha", "1,2", "--method", "exhaustive"],
+    ["ideals", "--n", "5", "--list"],
+    ["ideals", "--n", "5", "--check-fixed-points"],
+    ["dedekind", "--k", "2"],
+    ["selftest"],
+)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_no_command_loads_dataclasses_or_inspect(tmp_path, argv):
+    matrix = tmp_path / "m.txt"
+    matrix.write_text(MATRIX)
+    argv = [{"M": str(matrix), "D": str(tmp_path / "cache")}.get(arg, arg) for arg in argv]
+    code, modules = loaded_by(tmp_path, *argv)
+    assert code == 0
+    assert "posetmatrix.cli" in modules
+    assert not modules & {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("command", sorted(HELP_TEXTS))
