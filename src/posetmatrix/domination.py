@@ -10,6 +10,8 @@ class of the poset the vector selects from the Pascal matrix.
 from __future__ import annotations
 
 from collections import deque
+from functools import cache
+from itertools import permutations
 from typing import Sequence
 
 from . import DEFAULT_ORBIT_BUDGET
@@ -136,55 +138,56 @@ class OrbitResult(_Value):
         }
 
 
+@cache
+def _column_tables(n: int) -> tuple[tuple[int, ...], ...]:
+    """The n! column permutations p, identity first, as tables: table[r] is row mask r with bit c moved to p[c]."""
+    tables = []
+    for p in permutations(range(n)):
+        t = [0] * (1 << n)
+        for r in range(1, 1 << n):
+            t[r] = t[r & (r - 1)] | 1 << p[(r & -r).bit_length() - 1]
+        tables.append(tuple(t))
+    return tuple(tables)
+
+
 def domination_orbit(alpha: Sequence[int], n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitResult:
-    """Breadth-first closure of alpha under column swaps and changeable flips.
+    """Breadth-first closure of alpha under column permutations and changeable flips, one column class at a time.
 
     States are sorted row-value tuples, so row permutations are absorbed by
-    the normalization.  Every state moves by its n - 1 adjacent column swaps,
-    which generate every column permutation over a few steps.  Changeable
-    flips are tried only from alpha and from states first reached by a flip:
-    a column permutation sigma keeps every row domination, so the flips of
-    sigma(S) are sigma applied to the flips of S, and they are reached by
-    swaps from the flips of S.  The closure is therefore the same set as
-    with flips from every state.
+    the normalization.  The first state of a column class to come off the
+    queue stands for that class: all n! column permutations of it become
+    members at once, and only it tries the changeable flips.  A column
+    permutation sigma keeps every row domination, so the flips of sigma(S)
+    are sigma applied to the flips of S, and they are members once the
+    class of each flip of S has been visited.  The closure is therefore the
+    same set as with every move from every state.
 
-    Expands at most `budget` states, each popped once and with at most
-    n - 1 + n * n successors; when the budget runs out the result carries
-    exhausted=False and whatever was reached so far.
+    Admits at most `budget` states, the start vector first; when the budget
+    runs out, possibly inside a class, the result carries exhausted=False
+    and the members admitted so far (the start vector alone at budget 0).
     """
     entries = _check_orbit_vector(alpha, n)
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    swaps = [(c, c + 1, 3 << c) for c in range(n - 1)]
-    seen = {entries}
-    queue = deque([entries])
-    # The queued states that try flips, in the order they stand in queue:
-    # a popped state tries flips exactly when it is the head of flip_queue.
-    flip_queue = deque([entries])
-    expanded = 0
-    exhausted = True
+    images = tuple(zip(*_column_tables(n)))  # images[r][k]: row mask r under column permutation k
+    seen = set()
+    queue = deque([entries])  # alpha, then flips of class representatives that were not yet members
     while queue:
-        if expanded >= budget:
-            exhausted = False
-            break
         state = queue.popleft()
-        expanded += 1
-        for c, d, both in swaps:
-            nxt = tuple(sorted([r ^ ((r >> c ^ r >> d) & 1) * both for r in state]))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-        if not flip_queue or state is not flip_queue[0]:
-            continue  # reached by a swap: its flips are swaps of flips already queued
-        flip_queue.popleft()
+        if state in seen:
+            continue  # its class was visited after it was queued
+        permuted = zip(*map(images.__getitem__, state)) if n else [()]  # zip() of no rows yields nothing
+        for image in map(tuple, map(sorted, permuted)):
+            if image not in seen:
+                if len(seen) >= budget:
+                    return OrbitResult(entries, n, tuple(sorted(seen or [entries])), False, len(seen))
+                seen.add(image)
         rows = list(state)
         for i, r in enumerate(state):
             for j in iter_bits(_changeable_columns(state, i)):
                 rows[i] = r ^ 1 << j
                 nxt = tuple(sorted(rows))
                 if nxt not in seen:
-                    seen.add(nxt)
                     queue.append(nxt)
-                    flip_queue.append(nxt)
             rows[i] = r
-    return OrbitResult(entries, n, tuple(sorted(seen)), exhausted, expanded)
+    return OrbitResult(entries, n, tuple(sorted(seen)), True, len(seen))

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -13,6 +14,12 @@ from posetmatrix.enumeration import _class_level, canonical_form, enumerate_pose
 
 V_MATRIX = "100\n110\n101\n"
 CHAIN_BAD = "100\n110\n011\n"
+# SHA-256 of `pm orbit --n 5 --alpha 3,5,9,17,30` stdout: an exhausted orbit
+# prints the same bytes whatever order the search visits its states in
+ORBIT_N5_SHA256 = {
+    "text": "be5eabe6efa1d56471de84551ce3b94bac239f3dd577e7ad4b5df6dc2405a8bc",
+    "json": "15b974e54766c0bb2107eb818d8f44c15d2ae160ff7dbe36a0d1b6601eb36733",
+}
 
 
 def run_cli(capsys, *argv, expect=0):
@@ -254,6 +261,12 @@ def test_orbit_json_schema(capsys):
     assert obj["alpha"] == [2, 5, 9, 13]
     assert obj["exhausted"] is True
     assert [1, 2, 4, 14] in obj["members"]
+
+
+@pytest.mark.parametrize("fmt", sorted(ORBIT_N5_SHA256))
+def test_orbit_n5_stdout_is_pinned(capsys, fmt):
+    out = run_cli(capsys, "orbit", "--n", "5", "--alpha", "3,5,9,17,30", "--format", fmt)
+    assert hashlib.sha256(out.out.encode()).hexdigest() == ORBIT_N5_SHA256[fmt]
 
 
 def test_orbit_budget_warning(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import deque
 
@@ -7,6 +8,7 @@ import pytest
 from posetmatrix.bmatrix import BoolMatrix, Permutation, identity
 from posetmatrix.domination import (
     NotChangeableError,
+    _column_tables,
     changeable_entries,
     domination_orbit,
     domination_relations,
@@ -20,6 +22,9 @@ from posetmatrix.enumeration import canonical_form, enumerate_poset_matrices, pa
 from posetmatrix.posetcore import even_odd_moves, realize
 
 WORKED_ALPHA = (2, 5, 9, 13)
+# n = 5 start vectors whose column classes are small next to their orbits:
+# (3, 5, 9, 17, 30) has 2 144 members, and only 5 in its own column class.
+LARGE_STABILIZER_ALPHAS = ((3, 5, 9, 17, 30), (0, 1, 24, 27, 31), (1, 14, 22, 28, 31))
 
 
 def pairs_by_scan(rows):
@@ -376,7 +381,8 @@ def test_orbit_matches_transposition_bfs():
     rng = random.Random(9173)
     for _ in range(300):
         assert_matches_transposition_orbit(tuple(sorted(rng.sample(range(16), 4))), 4)
-    assert_matches_transposition_orbit((3, 5, 9, 17, 30), 5)
+    for alpha in LARGE_STABILIZER_ALPHAS:
+        assert_matches_transposition_orbit(alpha, 5)
 
 
 @pytest.mark.slow
@@ -397,6 +403,36 @@ def test_orbit_budget_cut_at_every_budget():
             assert cut.exhausted == (budget >= len(full)), (alpha, budget)
             assert alpha in cut.members
             assert set(cut.members) <= full
+
+
+def test_orbit_budget_cut_across_column_classes_at_n5():
+    # budgets on both sides of the first class boundary (5) and of the orbit size
+    alpha = LARGE_STABILIZER_ALPHAS[0]
+    column_class = {tuple(sorted(map(t.__getitem__, alpha))) for t in _column_tables(5)}
+    assert len(column_class) == 5
+    full = set(domination_orbit(alpha, 5).members)
+    assert len(full) == 2144
+    for budget in (0, 1, 4, 5, 6, 2143, 2144, 2145):
+        cut = domination_orbit(alpha, 5, budget=budget)
+        assert cut.states_visited == min(budget, len(full)), budget
+        assert cut.exhausted == (budget >= len(full)), budget
+        assert alpha in cut.members
+        assert set(cut.members) <= full
+    assert set(domination_orbit(alpha, 5, budget=5).members) == column_class
+
+
+def test_column_tables_permute_the_bits_of_every_row_mask():
+    for n in range(7):
+        tables = _column_tables(n)
+        assert len(tables) == math.factorial(n)
+        assert tables[0] == tuple(range(1 << n))
+        images_of_bits = [tuple(t[1 << c].bit_length() - 1 for c in range(n)) for t in tables]
+        assert images_of_bits == list(itertools.permutations(range(n)))
+        for t in tables:
+            assert sorted(t) == list(range(1 << n))
+            for r in range(1 << n):
+                assert bin(t[r]).count("1") == bin(r).count("1")
+                assert t[r] == sum(t[1 << c] for c in range(n) if r >> c & 1)
 
 
 @pytest.mark.slow
