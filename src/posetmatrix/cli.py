@@ -435,8 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p, cached=True)
     p.set_defaults(handler=_cmd_ideals)
 
-    p = subs.add_parser("dedekind", help="Dedekind number via the ideal count on 2**k elements")
-    p.add_argument("--k", type=int, required=True, help="number of generators (0..5)")
+    p = subs.add_parser("dedekind", help="Dedekind number: antichains of the subsets of a k-element set")
+    p.add_argument("--k", type=int, required=True, help="number of generators (0..7)")
     _common_flags(p)
     p.set_defaults(handler=_cmd_dedekind)
 

@@ -8,6 +8,7 @@ i is in the subset.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator
 
 from .bmatrix import _row_text, identity, iter_bits
@@ -15,7 +16,7 @@ from .pascal import _submask_row, check_index_vector, induced_submatrix, pascal_
 
 MAX_COUNT_GROUND = 32
 MAX_SCAN_GROUND = 20
-MAX_DEDEKIND_EXP = 5
+MAX_DEDEKIND_EXP = 7
 
 
 def _check_mask(mask: int, n: int) -> None:
@@ -43,9 +44,12 @@ def is_antichain(mask: int, n: int) -> bool:
 def antichain_to_ideal(mask: int, n: int) -> int:
     """Downward closure of mask: union of the principal ideals of its elements."""
     _check_mask(mask, n)
+    rows = _principal_masks(mask.bit_length())  # sized by the mask: a large n costs nothing
     out = 0
-    for e in iter_bits(mask):
-        out |= principal_ideal(e, n)
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
     return out
 
 
@@ -86,16 +90,32 @@ def is_fixed_point(x: int, n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
+def _principal_masks(n: int) -> tuple[int, ...]:
+    """Principal ideal of each element: its submasks, the rows of the Pascal matrix."""
+    return tuple(_submask_row(i) for i in range(n))
+
+
+@lru_cache(maxsize=None)
 def _pred_masks(n: int) -> tuple[int, ...]:
     """Proper predecessors of each element: its proper submasks."""
-    return tuple(principal_ideal(i, n) ^ (1 << i) for i in range(n))
+    return tuple(row ^ (1 << i) for i, row in enumerate(_principal_masks(n)))
 
 
 def count_ideals(n: int) -> int:
-    """Number of downward-closed subsets of the size-n Pascal poset."""
+    """Number of downward-closed subsets of the size-n Pascal poset.
+
+    With 2**m < n <= 2**(m+1), an ideal is a pair of ideals on the first
+    2**m elements and on the other n - 2**m (element 2**m + y sits above y),
+    the second inside the first; so the count is the sum of |down f| over
+    the ideals f of the m-cube, each cut to the first n - 2**m elements.
+    iter_ideals is the independent route that walks every ideal.
+    """
     if not 0 <= n <= MAX_COUNT_GROUND:
         raise ValueError(f"ideal counting supports n in [0, {MAX_COUNT_GROUND}], got {n}")
-    return sum(1 for _ in iter_ideals(n))
+    if n < 2:
+        return n + 1
+    m = (n - 1).bit_length() - 1
+    return _count_by_halves(m, n - (1 << m))
 
 
 def iter_ideals(n: int) -> Iterator[int]:
@@ -104,22 +124,109 @@ def iter_ideals(n: int) -> Iterator[int]:
     Elements are decided in order, element i left out before it is taken
     in, and it can be taken in only once all its predecessors are.
     """
+    return map(itemgetter(0), _ideal_walk(n))
+
+
+def _ideal_walk(n: int) -> Iterator[tuple[int, int]]:
     if not 0 <= n <= MAX_COUNT_GROUND:
         raise ValueError(f"ideal iteration supports n in [0, {MAX_COUNT_GROUND}], got {n}")
     return _walk_ideals(_pred_masks(n), n)
 
 
-def _walk_ideals(preds: tuple[int, ...], n: int) -> Iterator[int]:
-    # A stack entry is a decided prefix (next element, chosen mask); each
-    # "taken in" branch waits on the stack until "left out" is walked out.
-    stack = [(0, 0)]
+def _walk_ideals(preds: tuple[int, ...], n: int) -> Iterator[tuple[int, int]]:
+    """(ideal, its maximal elements) for every ideal, in iter_ideals order."""
+    # A stack entry is a decided prefix (next element, chosen mask, its
+    # maximal elements); each "taken in" branch waits on the stack until
+    # "left out" is walked out.  Only a later element can lie above i, so
+    # taking i in makes i maximal and its predecessors not.
+    stack = [(0, 0, 0)]
     while stack:
-        i, chosen = stack.pop()
+        i, chosen, anti = stack.pop()
         while i < n:
-            if preds[i] & ~chosen == 0:
-                stack.append((i + 1, chosen | (1 << i)))
+            below = preds[i]
+            if below & ~chosen == 0:
+                stack.append((i + 1, chosen | (1 << i), anti & ~below | (1 << i)))
             i += 1
-        yield chosen
+        yield chosen, anti
+
+
+@lru_cache(maxsize=None)
+def _down_counts(k: int) -> dict[int, int]:
+    """|down f|, the number of ideals inside f, for every ideal f of the k-cube.
+
+    The k-cube is the Pascal poset on 2**k elements, the subsets of k
+    variables.  Split on the top variable, an ideal is (f0, f1): ideals of
+    the (k-1)-cube with f1 inside f0.  The ideals inside (f0, f1) are the
+    (g, h) with g inside f0 and h inside g & f1, so |down (f0, f1)| sums
+    |down (g & f1)| over g.
+    """
+    if k == 0:
+        return {0: 1, 1: 2}
+    prev = _down_counts(k - 1)
+    half = 1 << (k - 1)
+    out = {}
+    for f0 in prev:
+        inside = [g for g in prev if g & ~f0 == 0]
+        for f1 in inside:
+            out[f0 | f1 << half] = sum([prev[g & f1] for g in inside])
+    return out
+
+
+def _count_by_halves(m: int, r: int) -> int:
+    """Ideals on 2**m + r elements, 0 < r <= 2**m: the sum over the ideals f
+    of the m-cube of |down (f cut to its first r elements)|."""
+    down = _down_counts(m)
+    low = (1 << r) - 1
+    return sum([down[f & low] for f in down])
+
+
+@lru_cache(maxsize=None)
+def _count_by_quarters(j: int) -> int:
+    """Ideals of the (j+2)-cube, split on its top two variables.
+
+    The quarters are ideals of the j-cube.  The middle two, a and b, are
+    any; the lowest one holds a | b and the highest lies inside a & b.  So
+    the count is the sum over a, b of |down (a & b)| * |up (a | b)|, where
+    |up f| = |down f*| for f* = {~x : x not in f}.  Permuting the j lower
+    variables keeps each summand, so a runs over one ideal per orbit,
+    weighted by the orbit's size.
+    """
+    down = _down_counts(j)
+    size = 1 << j
+    full = (1 << size) - 1
+    # reversing the 2**j bits maps each element x to its complement ~x
+    up = {f: down[int(_row_text(full ^ f, size), 2)] for f in down}
+    return sum(weight * sum([down[a & b] * up[a | b] for b in down]) for a, weight in _variable_orbits(j))
+
+
+def _variable_orbits(j: int) -> list[tuple[int, int]]:
+    """(first member, size) of each orbit of the j-cube's ideals under
+    the permutations of its j variables.
+
+    Adjacent transpositions generate them.  Swapping variables v and v + 1
+    exchanges the elements with bits (v, v+1) = (1, 0) and (0, 1), which
+    sit 2**v apart: a delta swap on the ideal's mask.
+    """
+    size = 1 << j
+    swaps = [(1 << v, sum(1 << x for x in range(size) if x >> v & 3 == 1)) for v in range(j - 1)]
+    seen = set()
+    orbits = []
+    for f in _down_counts(j):
+        if f in seen:
+            continue
+        orbit = {f}
+        frontier = [f]
+        while frontier:
+            g = frontier.pop()
+            for shift, low in swaps:
+                t = (g ^ g >> shift) & low
+                h = g ^ t ^ t << shift
+                if h not in orbit:
+                    orbit.add(h)
+                    frontier.append(h)
+        seen |= orbit
+        orbits.append((f, len(orbit)))
+    return orbits
 
 
 def count_fixed_points(n: int) -> int:
@@ -134,10 +241,20 @@ def count_fixed_points(n: int) -> int:
 
 
 def dedekind(k: int) -> int:
-    """k-th Dedekind number: antichains of the subset lattice = ideals of the size-2**k Pascal poset."""
+    """k-th Dedekind number: antichains of the subset lattice = ideals of the size-2**k Pascal poset.
+
+    Through k = 6 it is the count_ideals sum over the (k-1)-cube's
+    ideals; D(7) splits on the top two variables and sums pair products
+    over the 5-cube (Fidytek, Mostowski, Somla & Szepietowski,
+    "Algorithms counting monotone Boolean functions", IPL 79, 2001).
+    """
     if not 0 <= k <= MAX_DEDEKIND_EXP:
         raise ValueError(f"dedekind supports k in [0, {MAX_DEDEKIND_EXP}], got {k}")
-    return count_ideals(1 << k)
+    if k == 0:
+        return 2
+    if k < 7:
+        return _count_by_halves(k - 1, 1 << (k - 1))
+    return _count_by_quarters(k - 2)
 
 
 def identity_antichain_check(alpha, n: int) -> bool:
@@ -152,9 +269,25 @@ def identity_antichain_check(alpha, n: int) -> bool:
 
 def antichain_table(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...], str]]:
     """(antichain, ideal, fixed-point string) for every ideal, by antichain size then entries."""
-    rows = []
-    for ideal_mask in iter_ideals(n):
-        anti = ideal_to_antichain(ideal_mask, n)
-        rows.append((tuple(iter_bits(anti)), tuple(iter_bits(ideal_mask)), _row_text(ideal_mask, n)))
+    walk = _ideal_walk(n)  # checks n before it sizes the tables
+    tables = [_byte_positions(k) for k in range((n + 7) // 8)]
+    rows = [(_positions(anti, tables), _positions(ideal, tables), _row_text(ideal, n)) for ideal, anti in walk]
     rows.sort(key=lambda triple: (len(triple[0]), triple[0]))
     return rows
+
+
+@lru_cache(maxsize=None)
+def _byte_positions(k: int) -> tuple[tuple[int, ...], ...]:
+    """For each byte value, the positions its set bits have as byte k of a mask."""
+    return tuple(tuple(8 * k + p for p in range(8) if b >> p & 1) for b in range(256))
+
+
+def _positions(mask: int, tables) -> tuple[int, ...]:
+    """tuple(iter_bits(mask)), looked up a byte at a time in _byte_positions tables."""
+    out = ()
+    for table in tables:
+        if not mask:
+            break
+        out += table[mask & 255]
+        mask >>= 8
+    return out

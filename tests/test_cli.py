@@ -309,10 +309,12 @@ def test_dedekind(capsys):
     assert out.out == "20\n"
     out = run_cli(capsys, "dedekind", "--k", "4", "--format", "json")
     assert json.loads(out.out) == {"k": 4, "ground_size": 16, "count": 168}
+    out = run_cli(capsys, "dedekind", "--k", "7", "--format", "json")
+    assert json.loads(out.out) == {"k": 7, "ground_size": 128, "count": 2414682040998}
 
 
 def test_dedekind_bound(capsys):
-    run_cli(capsys, "dedekind", "--k", "6", expect=1)
+    run_cli(capsys, "dedekind", "--k", "8", expect=1)
 
 
 # ---- selftest ----

@@ -1,10 +1,19 @@
 import itertools
 import random
+import resource
+import subprocess
+import sys
 
 import pytest
 
 from posetmatrix.bmatrix import identity, iter_bits
 from posetmatrix.ideals import (
+    _count_by_halves,
+    _count_by_quarters,
+    _down_counts,
+    _pred_masks,
+    _variable_orbits,
+    _walk_ideals,
     antichain_table,
     antichain_to_ideal,
     count_fixed_points,
@@ -21,6 +30,8 @@ from posetmatrix.ideals import (
 from posetmatrix.pascal import pascal_matrix
 
 IDEAL_COUNTS = [1, 2, 3, 5, 6, 11, 14, 19, 20, 39]
+# OEIS A000372, D(0)..D(7)
+DEDEKIND_NUMBERS = [2, 3, 6, 20, 168, 7581, 7828354, 2414682040998]
 
 TABLE_FIVE_ELEMENTS = [
     ((), (), "00000"),
@@ -159,6 +170,33 @@ def test_is_ideal_against_naive():
         assert set(iter_ideals(n)) == naive
 
 
+def test_closure_matches_pair_loop():
+    # arbitrary masks past the sizes scanned in full
+    rng = random.Random(13)
+    for n in range(9, 33):
+        for _ in range(100):
+            mask = rng.getrandbits(n)
+            elements = [e for e in range(n) if mask >> e & 1]
+            expected = sum(1 << d for d in range(n) if any(naive_leq(d, e) for e in elements))
+            assert antichain_to_ideal(mask, n) == expected
+            assert is_ideal(mask, n) == (expected == mask)
+            assert is_ideal(expected, n)
+
+
+def test_closure_cost_follows_the_mask_not_n():
+    # Under a 512 MB address-space cap a table of 10**9 principal ideals cannot be built,
+    # so this fails unless the closure's table is sized by the mask.
+    code = "from posetmatrix.ideals import antichain_to_ideal, is_ideal; print(antichain_to_ideal(9, 10**9), is_ideal(3, 10**9))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "15 True\n"), proc.stderr
+
+
 def test_mask_bounds_checked():
     with pytest.raises(ValueError):
         is_ideal(1 << 5, 5)
@@ -218,13 +256,74 @@ def test_ideal_count_bounds():
         count_ideals(-1)
 
 
+@pytest.mark.parametrize("n", range(33))
+def test_count_ideals_matches_walk(n):
+    assert count_ideals(n) == sum(1 for _ in iter_ideals(n))
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_down_counts_match_walk(k):
+    # |down f| for every ideal f of the k-cube, counted over all its ideals
+    ideals = list(iter_ideals(1 << k))
+    down = _down_counts(k)
+    assert sorted(down) == sorted(ideals)
+    for f in ideals:
+        assert down[f] == sum(1 for g in ideals if g & ~f == 0)
+
+
+def permute_variables(f, k, perm):
+    """The ideal f of the k-cube with variable v renamed perm[v]."""
+    out = 0
+    for x in range(1 << k):
+        if f >> x & 1:
+            out |= 1 << sum(1 << perm[v] for v in range(k) if x >> v & 1)
+    return out
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_variable_orbits_match_all_permutations(k):
+    orbits = _variable_orbits(k)
+    # OEIS A003182: monotone Boolean functions of k variables up to permutation
+    assert len(orbits) == [2, 3, 5, 10, 30, 210][k]
+    perms = list(itertools.permutations(range(k)))
+    members = [{permute_variables(f, k, p) for p in perms} for f, _ in orbits]
+    assert [len(m) for m in members] == [size for _, size in orbits]
+    assert len(set().union(*members)) == sum(size for _, size in orbits) == dedekind(k)
+
+
+def test_variable_orbits_at_five():
+    orbits = _variable_orbits(5)
+    assert len(orbits) == 210
+    assert sum(size for _, size in orbits) == dedekind(5)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_halves_and_quarters_agree(k):
+    # D(k) by the top-variable split over FD(k-1) and by the top-two split over FD(k-2)
+    by_halves = _count_by_halves(k - 1, 1 << (k - 1))
+    assert by_halves == _count_by_quarters(k - 2) == dedekind(k) == DEDEKIND_NUMBERS[k]
+    if k <= 5:
+        assert by_halves == count_ideals(1 << k)
+
+
 def test_dedekind_values():
-    assert [dedekind(k) for k in range(5)] == [2, 3, 6, 20, 168]
+    assert [dedekind(k) for k in range(7)] == DEDEKIND_NUMBERS[:7]
+
+
+@pytest.mark.slow
+def test_dedekind_six_matches_walk():
+    assert sum(1 for _ in _walk_ideals(_pred_masks(64), 64)) == dedekind(6) == 7828354
+
+
+@pytest.mark.slow
+def test_dedekind_seven_matches_oeis():
+    assert dedekind(7) == DEDEKIND_NUMBERS[7] == 2414682040998
 
 
 def test_dedekind_bounds():
-    with pytest.raises(ValueError):
-        dedekind(6)
+    for k in (-1, 8):
+        with pytest.raises(ValueError, match=rf"dedekind supports k in \[0, 7\], got {k}"):
+            dedekind(k)
 
 
 def test_dedekind_matches_powerset_antichains():
@@ -244,6 +343,28 @@ def test_dedekind_matches_powerset_antichains():
 
 
 # ---- antichain table and identity check ----
+
+
+def antichain_table_per_ideal(n):
+    """The table with each ideal's maximal elements found on their own."""
+    rows = []
+    for ideal in iter_ideals(n):
+        anti = ideal_to_antichain(ideal, n)
+        text = "".join("1" if ideal >> e & 1 else "0" for e in range(n))
+        rows.append((tuple(iter_bits(anti)), tuple(iter_bits(ideal)), text))
+    rows.sort(key=lambda triple: (len(triple[0]), triple[0]))
+    return rows
+
+
+@pytest.mark.parametrize("n", range(33))
+def test_antichain_table_matches_per_ideal_build(n):
+    assert antichain_table(n) == antichain_table_per_ideal(n)
+
+
+def test_antichain_table_checks_n():
+    for n in (-1, 33, 10**20):
+        with pytest.raises(ValueError, match="ideal iteration supports n in"):
+            antichain_table(n)
 
 
 def test_antichain_table_five_elements():
