@@ -80,7 +80,6 @@ def enumerate_poset_matrices(n: int) -> Iterator[PosetMatrix]:
 # ---- canonical labelling -------------------------------------------------
 
 
-@lru_cache(maxsize=300_000)
 def _canonical_rows(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Least relabelling of a poset-matrix row tuple, with the old->new witness map.
 
@@ -229,9 +228,12 @@ class ClassReport(_Value):
 def _class_table(n: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """canonical rows -> all vectors in Q(n, 2**n) selecting that class."""
     table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    canon_of: dict[tuple[int, ...], tuple[int, ...]] = {}  # at n = 4, 1820 vectors realize 40 matrices
     for combo in combinations(range(1 << n), n):
-        canon = _canonical_rows(realize(combo, n).rows)[0]
-        table.setdefault(canon, []).append(combo)
+        rows = realize(combo, n).rows
+        if rows not in canon_of:
+            canon_of[rows] = _canonical_rows(rows)[0]
+        table.setdefault(canon_of[rows], []).append(combo)
     return {canon: tuple(vectors) for canon, vectors in table.items()}
 
 

@@ -20,7 +20,7 @@ MAX_DEDEKIND_EXP = 7
 
 
 def _check_mask(mask: int, n: int) -> None:
-    if not 0 <= mask < (1 << n):
+    if not (mask >= 0 and mask.bit_length() <= n):  # no 1 << n: n may be huge
         raise ValueError(f"subset mask {mask:#x} does not fit a ground set of size {n}")
 
 
@@ -44,27 +44,30 @@ def is_antichain(mask: int, n: int) -> bool:
 def antichain_to_ideal(mask: int, n: int) -> int:
     """Downward closure of mask: union of the principal ideals of its elements."""
     _check_mask(mask, n)
-    rows = _principal_masks(mask.bit_length())  # sized by the mask: a large n costs nothing
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= rows[low.bit_length() - 1]
-        mask ^= low
-    return out
+    return mask | _strictly_below(mask)
 
 
 def ideal_to_antichain(mask: int, n: int) -> int:
     """Maximal elements of mask under the support order: those with no proper superset in mask."""
     _check_mask(mask, n)
-    ups = _column_masks(n)  # ups[e]: e and every element whose support contains e's
+    return mask & ~_strictly_below(mask)
+
+
+def _strictly_below(mask: int) -> int:
+    """Union of the strict predecessors of mask's elements, from a table sized by the mask."""
+    preds = _pred_masks(mask.bit_length())
     out = 0
-    rest = mask
-    while rest:
-        low = rest & -rest
-        if mask & ups[low.bit_length() - 1] == low:
-            out |= low
-        rest ^= low
+    while mask:
+        low = mask & -mask
+        out |= preds[low.bit_length() - 1]
+        mask ^= low
     return out
+
+
+@lru_cache(maxsize=None)
+def _pred_masks(n: int) -> tuple[int, ...]:
+    """Proper predecessors of each element: its proper submasks."""
+    return tuple(_submask_row(i) ^ (1 << i) for i in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -80,25 +83,14 @@ def _column_masks(n: int) -> tuple[int, ...]:
 def is_fixed_point(x: int, n: int) -> bool:
     """True when the characteristic row vector x satisfies x . P = x over the Boolean semiring.
 
-    Coordinate j of x . P is the OR of x over the rows with a 1 in column j.
+    Coordinate j of x . P is the OR of x over the rows with a 1 in column j;
+    past x's top bit a column holds no row of x, so both coordinates are 0.
     """
     _check_mask(x, n)
-    for j, col in enumerate(_column_masks(n)):
+    for j, col in enumerate(_column_masks(x.bit_length())):
         if bool(x & col) != bool(x >> j & 1):
             return False
     return True
-
-
-@lru_cache(maxsize=None)
-def _principal_masks(n: int) -> tuple[int, ...]:
-    """Principal ideal of each element: its submasks, the rows of the Pascal matrix."""
-    return tuple(_submask_row(i) for i in range(n))
-
-
-@lru_cache(maxsize=None)
-def _pred_masks(n: int) -> tuple[int, ...]:
-    """Proper predecessors of each element: its proper submasks."""
-    return tuple(row ^ (1 << i) for i, row in enumerate(_principal_masks(n)))
 
 
 def count_ideals(n: int) -> int:

@@ -1,6 +1,9 @@
 import inspect
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -261,6 +264,24 @@ def test_class_counting_bounds():
     for n in (-1, 9):
         with pytest.raises(ValueError):
             count_isomorphism_classes(n)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM from /proc/self/status")
+def test_class_tree_side_8_peak_memory():
+    # The child reads its own VmHWM: ru_maxrss after exec can carry the parent's high-water mark.
+    # A memo of every side-8 extension's canonical rows, none of them asked for twice, takes it to 46 MB.
+    code = (
+        "from posetmatrix.enumeration import count_isomorphism_classes\n"
+        "count = count_isomorphism_classes(8)\n"
+        "status = open('/proc/self/status').read().splitlines()\n"
+        "print(count, next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    count, peak_kb = map(int, proc.stdout.split())
+    assert count == 16999
+    assert peak_kb < 30 * 1024
 
 
 # ---- canonical forms ----

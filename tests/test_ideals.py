@@ -184,9 +184,13 @@ def test_closure_matches_pair_loop():
 
 
 def test_closure_cost_follows_the_mask_not_n():
-    # Under a 512 MB address-space cap a table of 10**9 principal ideals cannot be built,
-    # so this fails unless the closure's table is sized by the mask.
-    code = "from posetmatrix.ideals import antichain_to_ideal, is_ideal; print(antichain_to_ideal(9, 10**9), is_ideal(3, 10**9))"
+    # Under a 512 MB address-space cap neither a table of 10**9 predecessor masks nor 1 << 10**12
+    # can be built, so this fails unless the range check and every table are sized by the mask.
+    code = (
+        "from posetmatrix.ideals import antichain_to_ideal, ideal_to_antichain, is_antichain, is_fixed_point, is_ideal\n"
+        "print(antichain_to_ideal(9, 10**9), is_ideal(3, 10**9), ideal_to_antichain(9, 10**12),"
+        " is_antichain(6, 10**12), is_fixed_point(3, 10**12), is_ideal(3, 10**12))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20)),
@@ -194,7 +198,7 @@ def test_closure_cost_follows_the_mask_not_n():
         text=True,
         timeout=60,
     )
-    assert (proc.returncode, proc.stdout) == (0, "15 True\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "15 True 8 True True True\n"), proc.stderr
 
 
 def test_mask_bounds_checked():
