@@ -182,7 +182,14 @@ def _cmd_dual_index(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    from .enumeration import MAX_CLASS_SIDE, _class_level, _poset_rows, count_isomorphism_classes, count_poset_matrices
+    from .enumeration import (
+        MAX_CLASS_SIDE,
+        MAX_ENUM_SIDE,
+        _class_level,
+        _poset_rows,
+        count_isomorphism_classes,
+        count_poset_matrices,
+    )
 
     n = args.n
     if args.emit == "counts":
@@ -203,8 +210,8 @@ def _cmd_enumerate(args) -> int:
             print(f"isomorphism classes: {value['isomorphism_classes']}")
         return 0
     if args.emit == "canonical":
-        if not 0 <= n <= MAX_CLASS_SIDE:
-            raise ValueError(f"canonical emission supports n in [0, {MAX_CLASS_SIDE}], got {n}")
+        if not 0 <= n <= MAX_ENUM_SIDE:
+            raise ValueError(f"canonical emission supports n in [0, {MAX_ENUM_SIDE}], got {n}")
         masks = sorted(_class_level(n))
         field = "canonical_forms"
     else:

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
 from .bmatrix import BoolMatrix, Permutation, _Value, iter_bits
+from .pascal import _subset_rows
 from .posetcore import PosetMatrix, _check_orbit_vector, dual_index, realize
 
 MAX_ENUM_SIDE = 8
-MAX_CLASS_SIDE = 8
+MAX_CLASS_SIDE = 9
 MAX_CLASSIFY_SIDE = 4
 
 # ---- generation ----------------------------------------------------------
@@ -31,29 +33,26 @@ def _down_sets(prefix: tuple[int, ...]) -> list[int]:
     return sets
 
 
-def _extensions(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """One-row extensions in increasing row order: the new row picks a down-set of the earlier elements."""
-    top = 1 << len(prefix)
-    return (prefix + (s | top,) for s in _down_sets(prefix))
+def _walk(n: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Each (n-1)-row prefix of a side-n poset matrix with its down-sets, in increasing row-mask order.
 
-
-def _complete(prefix: tuple[int, ...], sets: list[int], n: int) -> Iterator[tuple[int, ...]]:
-    """Side-n completions of prefix, whose down-sets are sets, in increasing row order.
-
-    The down-sets of prefix + (below | top,) are sets plus, with the new
-    element added, those that hold below; so each child gets its list
-    without a scan of the 2**i candidate rows.  The last row is read
-    straight from sets: lists built for the leaves would cost several
-    times the rest of the walk.
+    The down-sets of prefix + (below | top,) are those of prefix plus, with
+    the new element added, those that hold below; so each child gets its
+    list without a scan of the 2**i candidate rows.  Each side-n matrix is
+    a yielded prefix plus one row per down-set in its list, so the walk
+    stops a level short: lists built for the leaves would cost several
+    times the rest of the walk.  An explicit stack, children pushed in
+    reverse, keeps the order without a chain of generators per prefix.
     """
-    top = 1 << len(prefix)
-    if len(prefix) == n - 1:
-        for below in sets:
-            yield prefix + (below | top,)
-        return
-    for below in sets:
-        child_sets = sets + [s | top for s in sets if s & below == below]
-        yield from _complete(prefix + (below | top,), child_sets, n)
+    stack = [((), [0])]
+    while stack:
+        prefix, sets = stack.pop()
+        if len(prefix) == n - 1:
+            yield prefix, sets
+            continue
+        top = 1 << len(prefix)
+        for below in reversed(sets):
+            stack.append((prefix + (below | top,), sets + [s | top for s in sets if s & below == below]))
 
 
 def _poset_rows(n: int) -> Iterator[tuple[int, ...]]:
@@ -63,7 +62,10 @@ def _poset_rows(n: int) -> Iterator[tuple[int, ...]]:
     """
     if not 0 <= n <= MAX_ENUM_SIDE:
         raise ValueError(f"enumeration supports n in [0, {MAX_ENUM_SIDE}], got {n}")
-    return _complete((), [0], n) if n else iter([()])
+    if n == 0:
+        return iter([()])
+    top = 1 << (n - 1)
+    return (prefix + (below | top,) for prefix, sets in _walk(n) for below in sets)
 
 
 def enumerate_poset_matrices(n: int) -> Iterator[PosetMatrix]:
@@ -79,82 +81,101 @@ def enumerate_poset_matrices(n: int) -> Iterator[PosetMatrix]:
 
 # ---- canonical labelling -------------------------------------------------
 
+_MEMBERS: list[tuple[int, ...]] = [()]  # mask -> its set bits, ascending, for every mask below 2**MAX_CLASS_SIDE
+for _e in range(MAX_CLASS_SIDE):
+    _MEMBERS += [members + (_e,) for members in _MEMBERS]
+
 
 def _canonical_rows(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Least relabelling of a poset-matrix row tuple, with the old->new witness map.
 
-    Branch-and-bound over position assignments: a position can take any
-    element whose predecessors are all placed (so the result stays a poset
-    matrix), candidates are tried in row-major bit-string order, and a branch
-    dies as soon as its key prefix exceeds the incumbent's.  A row's key is
-    its mask with the bit order reversed (column 0 most significant).  Each
-    placed element keeps its position's row bit and key bit, so a
-    candidate's row and key are its own position's bits or-ed with those
-    of its predecessors.
+    Search over position assignments: a position can take any element whose
+    predecessors are all placed (so the result stays a poset matrix).  A
+    row's key is its mask with the bit order reversed (column 0 most
+    significant), and the row at position k holds only positions up to k,
+    so its key is fixed by the choice at k.  A minimal leaf therefore takes
+    a least key at every depth: the search branches only on the candidates
+    that tie for the least key, in element order, and a branch dies as soon
+    as its key prefix exceeds the incumbent's.  Keys are carried: placing e
+    at position k sets key bit n-1-k in each successor's key, cleared again
+    on return.  So is the ready mask: placing e makes ready those it was
+    the last to block.
 
     Twins (elements with equal predecessor and successor masks) are
     interchangeable: swapping two unplaced twins is an automorphism fixing
     every placed element, so a twin's subtree repeats, key for key, that of
     the smaller twin, which is searched earlier.  A candidate is therefore
-    skipped while a smaller twin is unplaced; the first minimal leaf, and
-    with it the form and the witness, stay the same.
+    blocked while a smaller twin is unplaced; twins are placed in element
+    order, so the largest smaller twin is the last to block it.  The first
+    minimal leaf, and with it the form and the witness, stay the same.  The
+    rows are built once, from that leaf's order.
     """
     n = len(rows)
     if n == 0:
         return (), ()
-    preds = [rows[i] ^ (1 << i) for i in range(n)]
-    pred_lists = [list(iter_bits(p)) for p in preds]
-    succs = [0] * n
-    for i in range(n):
-        for p in pred_lists[i]:
-            succs[p] |= 1 << i
-    smaller_twins = [0] * n
-    twins_so_far: dict[tuple[int, int], int] = {}
+    bits = [1 << e for e in range(n)]
+    preds = [rows[e] ^ bits[e] for e in range(n)]
+    succ_lists = [[i for i in range(j + 1, n) if preds[i] & bits[j]] for j in range(n)]
+    blockers = preds[:]  # predecessors and smaller twins: all are placed first
+    unblocks = [list(succ) for succ in succ_lists]  # the elements e may be the last to block
+    twins_so_far: dict[tuple[int, ...], int] = {}
     for e in range(n):
-        key = (preds[e], succs[e])
-        smaller_twins[e] = twins_so_far.get(key, 0)
-        twins_so_far[key] = smaller_twins[e] | (1 << e)
-    row_bit = [0] * n
-    key_bit = [0] * n
-    best_keys: list[int] | None = None
-    best_rows: tuple[int, ...] = ()
-    best_map: tuple[int, ...] = ()
+        key = (preds[e], *succ_lists[e])
+        twins = twins_so_far.get(key, 0)
+        if twins:
+            blockers[e] |= twins
+            unblocks[twins.bit_length() - 1].append(e)
+        twins_so_far[key] = twins | bits[e]
+    keys = [0] * n
+    order: list[int] = []
+    best_order: list[int] = []
+    best_keys: list[int] = []
 
-    def walk(order: list[int], used: int, keys: list[int], new_rows: list[int]) -> None:
-        nonlocal best_keys, best_rows, best_map
-        k = len(order)
+    def walk(k: int, used: int, ready: int, tight: bool) -> bool:
+        """Search below order; tight when its keys equal the incumbent's prefix. True if it set a new incumbent."""
         if k == n:
-            if best_keys is None or keys < best_keys:
-                best_keys = list(keys)
-                mapping = [0] * n
-                for pos, element in enumerate(order):
-                    mapping[element] = pos
-                best_rows = tuple(new_rows)
-                best_map = tuple(mapping)
-            return
-        cands = []
-        for e in range(n):
-            if used >> e & 1 or (preds[e] | smaller_twins[e]) & ~used:
-                continue
-            row, key = 1 << k, 1 << (n - 1 - k)
-            for p in pred_lists[e]:
-                row |= row_bit[p]
-                key |= key_bit[p]
-            cands.append((key, row, e))
-        cands.sort()
-        for key, row, e in cands:
-            keys.append(key)
-            if best_keys is None or keys <= best_keys[: k + 1]:
-                row_bit[e], key_bit[e] = 1 << k, 1 << (n - 1 - k)
-                order.append(e)
-                new_rows.append(row)
-                walk(order, used | (1 << e), keys, new_rows)
-                new_rows.pop()
-                order.pop()
-            keys.pop()
+            if tight:  # equal to the incumbent, which was found first
+                return False
+            best_order[:] = order
+            best_keys[:] = [keys[e] for e in order]
+            return True
+        least = -1
+        for e in _MEMBERS[ready]:
+            if least < 0 or keys[e] < least:
+                least, ties = keys[e], [e]
+            elif keys[e] == least:
+                ties.append(e)
+        if tight:
+            if least > best_keys[k]:
+                return False
+            tight = least == best_keys[k]
+        bit = 1 << (n - 1 - k)
+        found = False
+        for e in ties:
+            placed = used | bits[e]
+            child_ready = ready ^ bits[e]
+            for s in unblocks[e]:
+                if not blockers[s] & ~placed:
+                    child_ready |= bits[s]
+            for s in succ_lists[e]:
+                keys[s] |= bit
+            order.append(e)
+            if walk(k + 1, placed, child_ready, tight):
+                found = tight = True  # the new incumbent runs through this node
+            order.pop()
+            for s in succ_lists[e]:
+                keys[s] ^= bit
+        return found
 
-    walk([], 0, [], [])
-    return best_rows, best_map
+    walk(0, 0, sum(bits[e] for e in range(n) if not blockers[e]), False)  # the first leaf is taken
+    mapping = [0] * n
+    for pos, element in enumerate(best_order):
+        mapping[element] = pos
+    new_rows = [1 << pos for pos in range(n)]
+    for e in range(n):
+        for s in succ_lists[e]:
+            new_rows[mapping[s]] |= 1 << mapping[e]
+    return tuple(new_rows), tuple(mapping)
 
 
 def canonical_labelling(a: PosetMatrix) -> tuple[PosetMatrix, Permutation]:
@@ -177,32 +198,55 @@ def canonical_form(a: PosetMatrix) -> PosetMatrix:
 # ---- the class tree ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _class_level(n: int) -> dict[tuple[int, ...], int]:
-    """Canonical rows of each n-element isomorphism class -> its number of natural labellings.
+def _largest_last_extensions(rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """One-row extensions of rows whose new element has the largest down-set among their maximal elements.
 
-    Every n-poset is an (n-1)-poset plus one maximal element whose strict
-    down-set is an order ideal, and the completions of a prefix depend only
-    on its class, so level n is built from the extensions of the level n-1
-    representatives, each weighted by its class's labelling count.
+    The new element is above just the down-set D it picks, so the other
+    maximal elements are those of rows outside D, with their down-sets
+    unchanged; the test is |D| + 1 >= |down(m)| for each of them.
+    """
+    n = len(rows)
+    top = 1 << n
+    maximal = top - 1
+    for i, row in enumerate(rows):
+        maximal &= ~row | (1 << i)
+    above = [0] * (n + 2)  # above[s]: the maximal elements whose down-sets have more than s elements
+    for m in iter_bits(maximal):
+        for s in range(rows[m].bit_count()):
+            above[s] |= 1 << m
+    for below in _down_sets(rows):
+        if not above[below.bit_count() + 1] & ~below:
+            yield rows + (below | top,)
+
+
+@lru_cache(maxsize=None)
+def _class_level(n: int) -> frozenset[tuple[int, ...]]:
+    """Canonical rows of every n-element isomorphism class.
+
+    Each class is reached by deleting a maximal element x whose down-set is
+    largest among the maximal elements: what is left is the class of some
+    (n-1)-element form P, x's strict down-set maps to a down-set D of P,
+    and every maximal m of P outside D is maximal in the whole poset with
+    the same down-set, so |D| + 1 >= |down(m)|.  So level n is the
+    canonical forms of the one-row extensions of the level n-1 forms that
+    pass this test (a relaxed canonical construction path, after Brinkmann
+    and McKay); the others repeat a class that a passing extension
+    reaches, and repeats collapse in the set.
     """
     if n == 0:
-        return {(): 1}
-    level: dict[tuple[int, ...], int] = {}
-    for rows, weight in _class_level(n - 1).items():
-        for ext in _extensions(rows):
-            canon = _canonical_rows(ext)[0]
-            level[canon] = level.get(canon, 0) + weight
-    return level
+        return frozenset([()])
+    return frozenset(
+        _canonical_rows(child)[0] for rows in _class_level(n - 1) for child in _largest_last_extensions(rows)
+    )
 
 
 def count_poset_matrices(n: int) -> int:
-    """Number of n x n poset matrices."""
-    if not 0 <= n <= MAX_ENUM_SIDE:
-        raise ValueError(f"enumeration supports n in [0, {MAX_ENUM_SIDE}], got {n}")
+    """Number of n x n poset matrices: one per down-set of each (n-1)-row prefix of the walk."""
+    if not 0 <= n <= MAX_CLASS_SIDE:
+        raise ValueError(f"matrix counting supports n in [0, {MAX_CLASS_SIDE}], got {n}")
     if n == 0:
         return 1
-    return sum(w * len(_down_sets(c)) for c, w in _class_level(n - 1).items())
+    return sum(len(sets) for _, sets in _walk(n))
 
 
 def count_isomorphism_classes(n: int) -> int:
@@ -226,11 +270,15 @@ class ClassReport(_Value):
 
 @lru_cache(maxsize=None)
 def _class_table(n: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """canonical rows -> all vectors in Q(n, 2**n) selecting that class."""
+    """canonical rows -> all vectors in Q(n, 2**n) selecting that class.
+
+    combinations gives strictly increasing vectors below 2**n, so each
+    realization is read straight from the subset test, unvalidated.
+    """
     table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     canon_of: dict[tuple[int, ...], tuple[int, ...]] = {}  # at n = 4, 1820 vectors realize 40 matrices
     for combo in combinations(range(1 << n), n):
-        rows = realize(combo, n).rows
+        rows = _subset_rows(combo)
         if rows not in canon_of:
             canon_of[rows] = _canonical_rows(rows)[0]
         table.setdefault(canon_of[rows], []).append(combo)
@@ -241,7 +289,7 @@ def classify_index_vectors(n: int, sample_limit: int = 8) -> list[ClassReport]:
     """Partition all C(2**n, n) index vectors by the isomorphism class they realize."""
     if not 0 <= n <= MAX_CLASSIFY_SIDE:
         raise ValueError(f"classification supports n in [0, {MAX_CLASSIFY_SIDE}], got {n}")
-    labelled = _class_level(n)
+    labelled = Counter(_canonical_rows(rows)[0] for rows in _poset_rows(n))
     reports = []
     for canon, vectors in sorted(_class_table(n).items()):
         reports.append(

@@ -189,7 +189,7 @@ def test_enumerate_canonical_json(capsys):
 
 
 def test_enumerate_counts_bound(capsys):
-    run_cli(capsys, "enumerate", "--n", "9", "--emit", "counts", expect=1)
+    run_cli(capsys, "enumerate", "--n", "10", "--emit", "counts", expect=1)
 
 
 @pytest.mark.parametrize("emit, field", [("matrices", "matrices"), ("canonical", "canonical_forms")])

@@ -25,8 +25,8 @@ from posetmatrix.enumeration import (
 )
 from posetmatrix.posetcore import NotTransitiveError, dual, realize, validate
 
-A006455 = (1, 1, 2, 7, 40, 357, 4824, 96428, 2800472)  # naturally labelled posets, n = 0..8
-A000112 = (1, 1, 2, 5, 16, 63, 318, 2045)  # unlabelled posets, n = 0..7
+A006455 = (1, 1, 2, 7, 40, 357, 4824, 96428, 2800472, 116473461)  # naturally labelled posets, n = 0..9
+A000112 = (1, 1, 2, 5, 16, 63, 318, 2045, 16999, 183231)  # unlabelled posets, n = 0..9
 POSET_MATRIX_COUNTS = list(A006455[:7])
 CLASS_COUNTS = list(A000112[:7])
 
@@ -114,7 +114,7 @@ def unpruned_canonical_rows(rows):
 
 
 def candidate_scan_extensions(prefix):
-    """One-row extensions found by testing all 2**i candidate rows bit by bit: the reference for _extensions."""
+    """One-row extensions found by testing all 2**i candidate rows bit by bit: the reference for _down_sets."""
     i = len(prefix)
     for below in range(1 << i):
         row = below | (1 << i)
@@ -180,6 +180,13 @@ def automorphism_count(rows):
     return extend([])
 
 
+def labelling_count(rows):
+    """e(P) / |Aut(P)|: the natural labellings of P's class, asserted exact."""
+    labellings, rest = divmod(linear_extension_count(rows), automorphism_count(rows))
+    assert rest == 0, rows
+    return labellings
+
+
 # ---- generation ----
 
 
@@ -212,7 +219,7 @@ def test_enumeration_yields_poset_matrices_only():
 
 def test_enumeration_bounds():
     with pytest.raises(ValueError):
-        count_poset_matrices(9)
+        list(enumerate_poset_matrices(MAX_ENUM_SIDE + 1))
     with pytest.raises(ValueError):
         list(enumerate_poset_matrices(-1))
 
@@ -237,7 +244,9 @@ def test_extensions_match_candidate_scan():
     rng = random.Random(20261018)
     prefixes += [random_poset_rows(rng, n) for n in (7, 8) for _ in range(200)]
     for prefix in prefixes:
-        assert list(enumeration._extensions(prefix)) == list(candidate_scan_extensions(prefix)), prefix
+        top = 1 << len(prefix)
+        extensions = [prefix + (below | top,) for below in enumeration._down_sets(prefix)]
+        assert extensions == list(candidate_scan_extensions(prefix)), prefix
 
 
 def test_poset_rows_match_candidate_scan():
@@ -251,8 +260,8 @@ def test_tree_count_matches_enumeration():
 
 
 def test_counts_pin_oeis():
-    assert [count_poset_matrices(n) for n in range(9)] == list(A006455)
-    assert [count_isomorphism_classes(n) for n in range(8)] == list(A000112)
+    assert [count_poset_matrices(n) for n in range(9)] == list(A006455[:9])
+    assert [count_isomorphism_classes(n) for n in range(8)] == list(A000112[:8])
 
 
 def test_counting_functions_take_only_n():
@@ -261,27 +270,53 @@ def test_counting_functions_take_only_n():
 
 
 def test_class_counting_bounds():
-    for n in (-1, 9):
+    for n in (-1, 10):
         with pytest.raises(ValueError):
             count_isomorphism_classes(n)
+        with pytest.raises(ValueError):
+            count_poset_matrices(n)
+
+
+def class_count_in_child(n):
+    """count_isomorphism_classes(n) in a fresh interpreter, with that interpreter's peak RSS in kB.
+
+    The child reads its own VmHWM: ru_maxrss after exec can carry the parent's high-water mark.
+    """
+    code = (
+        "from posetmatrix.enumeration import count_isomorphism_classes\n"
+        f"count = count_isomorphism_classes({n})\n"
+        "status = open('/proc/self/status').read().splitlines()\n"
+        "print(count, next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    count, peak_kb = map(int, proc.stdout.split())
+    return count, peak_kb
 
 
 @pytest.mark.slow
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM from /proc/self/status")
 def test_class_tree_side_8_peak_memory():
-    # The child reads its own VmHWM: ru_maxrss after exec can carry the parent's high-water mark.
     # A memo of every side-8 extension's canonical rows, none of them asked for twice, takes it to 46 MB.
-    code = (
-        "from posetmatrix.enumeration import count_isomorphism_classes\n"
-        "count = count_isomorphism_classes(8)\n"
-        "status = open('/proc/self/status').read().splitlines()\n"
-        "print(count, next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    count, peak_kb = map(int, proc.stdout.split())
-    assert count == 16999
+    count, peak_kb = class_count_in_child(8)
+    assert count == A000112[8]
     assert peak_kb < 30 * 1024
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM from /proc/self/status")
+def test_class_count_side_9_and_peak_memory():
+    # The side-8 and side-9 forms take it to about 51 MB.
+    count, peak_kb = class_count_in_child(9)
+    assert count == A000112[9]
+    assert peak_kb < 64 * 1024
+
+
+@pytest.mark.slow
+def test_labelled_count_side_9_by_walk_and_by_forms():
+    # each side-9 matrix is a side-8 one plus a down-set, and a side-8 class has e(C) / |Aut(C)| labellings
+    by_forms = sum(labelling_count(rows) * len(enumeration._down_sets(rows)) for rows in enumeration._class_level(8))
+    assert count_poset_matrices(9) == by_forms == A006455[9]
 
 
 # ---- canonical forms ----
@@ -352,17 +387,19 @@ def test_class_tree_is_the_set_of_canonical_forms():
 
 
 def test_class_weights_are_labelling_counts():
-    # a class P has e(P) / |Aut(P)| natural labellings
+    # a class P has e(P) / |Aut(P)| natural labellings, so the forms and the walk count the same matrices
     for n in range(7):
-        level = enumeration._class_level(n)
-        for rows, weight in level.items():
-            assert weight * automorphism_count(rows) == linear_extension_count(rows), rows
-        assert sum(level.values()) == count_poset_matrices(n)
+        assert sum(labelling_count(rows) for rows in enumeration._class_level(n)) == count_poset_matrices(n)
+
+
+def test_labelling_counts_match_classification():
+    for n in range(5):
+        sizes = {r.canonical.rows: r.class_size_labelled for r in classify_index_vectors(n)}
+        assert sizes == {rows: labelling_count(rows) for rows in enumeration._class_level(n)}
 
 
 def test_class_weights_match_classification():
-    # classify_index_vectors reads its sizes from the class tree, so the
-    # reference is a tally of canonical forms over all labelled matrices
+    # the reference tally goes through enumerate_poset_matrices and the public canonical_form
     for n in range(5):
         tally = {}
         for a in enumerate_poset_matrices(n):
@@ -438,7 +475,7 @@ def test_dual_respects_classes_exhaustively():
 def test_dual_classes_match_dual_matrices():
     for n in range(6):
         duals = _dual_classes(n)
-        assert duals.keys() == _class_level(n).keys()
+        assert set(duals) == set(_class_level(n))
         for a in enumerate_poset_matrices(n):
             assert duals[canonical_form(a).rows] == canonical_form(dual(a)).rows
 
