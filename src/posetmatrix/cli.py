@@ -16,7 +16,7 @@ import argparse
 import math
 import os
 import sys
-from itertools import islice
+from itertools import groupby
 
 from . import DEFAULT_ORBIT_BUDGET, __version__
 
@@ -55,21 +55,38 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _record_text(n: int, json_format: bool):
-    """Text of one side-n matrix record from its row masks, read from a table of the 2**n row strings.
+def _write_records(n: int, field: str, groups, json_format: bool) -> None:
+    """Write the side-n matrices of (prefix rows, last-row down-sets) groups as one list.
 
-    A JSON record is the matrix's to_json_obj() as json.dumps(indent=2)
-    prints it as an item of a list that is a field of the top-level object.
+    The text is that of _emit_json({"n": n, field: [to_json_obj(), ...]})
+    for JSON, and of to_text() with a blank line between records for text.
+    Records in a group differ only in their last row, so a group is its
+    prefix's text, joined to each last row's text: one join per prefix,
+    from a table of the 2**n row strings.  At n = 0 the one record is the
+    empty matrix, with no last row to group by, and groups is not read.
     """
     from .bmatrix import _row_text
 
-    table = [_row_text(row, n) for row in range(1 << n)]
-    if not json_format:
-        return lambda rows: "\n".join(map(table.__getitem__, rows))
+    rows_text = [_row_text(row, n) for row in range(1 << n)]
+    if json_format:
+        head, sep, tail = f'{{\n  "n": {n},\n  "{field}": [\n', ",\n", "\n  ]\n}\n"
+        start, mid, end = f'    {{\n      "n": {n},\n      "rows": [\n        "', '",\n        "', '"\n      ]\n    }'
+    else:
+        head, sep, tail = "", "\n\n", "\n"
+        start, mid, end = "", "\n", ""
+    write = sys.stdout.write
+    write(head)
     if n == 0:
-        return lambda rows: '    {\n      "n": 0,\n      "rows": []\n    }'
-    head = f'    {{\n      "n": {n},\n      "rows": [\n        "'
-    return lambda rows: head + '",\n        "'.join(map(table.__getitem__, rows)) + '"\n      ]\n    }'
+        write('    {\n      "n": 0,\n      "rows": []\n    }' if json_format else "")
+    else:
+        top = 1 << (n - 1)
+        lasts = [rows_text[below | top] + end for below in range(top)]
+        gap = ""  # every side in range has at least one record, so the JSON list is never empty
+        for prefix, sets in groups:
+            text = start + "".join([rows_text[row] + mid for row in prefix])
+            write(gap + text + (sep + text).join(map(lasts.__getitem__, sets)))
+            gap = sep
+    write(tail)
 
 
 def _cached(args, key: str, compute) -> dict:
@@ -186,7 +203,7 @@ def _cmd_enumerate(args) -> int:
         MAX_CLASS_SIDE,
         MAX_ENUM_SIDE,
         _class_level,
-        _poset_rows,
+        _walk,
         count_isomorphism_classes,
         count_poset_matrices,
     )
@@ -209,26 +226,16 @@ def _cmd_enumerate(args) -> int:
             print(f"poset matrices: {value['poset_matrices']}")
             print(f"isomorphism classes: {value['isomorphism_classes']}")
         return 0
+    if not 0 <= n <= MAX_ENUM_SIDE:
+        what = "canonical emission" if args.emit == "canonical" else "enumeration"
+        raise ValueError(f"{what} supports n in [0, {MAX_ENUM_SIDE}], got {n}")
     if args.emit == "canonical":
-        if not 0 <= n <= MAX_ENUM_SIDE:
-            raise ValueError(f"canonical emission supports n in [0, {MAX_ENUM_SIDE}], got {n}")
-        masks = sorted(_class_level(n))
-        field = "canonical_forms"
+        top = 1 << n >> 1  # the diagonal bit of the last row; the groups are not read at n = 0
+        forms = groupby(sorted(_class_level(n)), key=lambda rows: rows[:-1])
+        groups = ((prefix, [rows[-1] ^ top for rows in group]) for prefix, group in forms)
+        _write_records(n, "canonical_forms", groups, args.format == "json")
     else:
-        masks = _poset_rows(n)
-        field = "matrices"
-    record = _record_text(n, args.format == "json")
-    if args.format == "json":  # the text of _emit_json({"n": n, field: [record, ...]})
-        head, sep, tail = f'{{\n  "n": {n},\n  "{field}": [\n', ",\n", "\n  ]\n}\n"
-    else:
-        head, sep, tail = "", "\n\n", "\n"
-    sys.stdout.write(head)
-    records = map(record, masks)
-    gap = ""  # every side in range has at least one record, so the JSON list is never empty
-    while batch := list(islice(records, 1024)):  # one write per record costs more CPU
-        sys.stdout.write(gap + sep.join(batch))
-        gap = sep
-    sys.stdout.write(tail)
+        _write_records(n, "matrices", _walk(n), args.format == "json")
     return 0
 
 

@@ -2,19 +2,16 @@
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterator, Sequence
 
 from .bmatrix import BoolMatrix, Permutation, _Value, iter_bits
-from .pascal import _subset_rows
 from .posetcore import PosetMatrix, _check_orbit_vector, dual_index, realize
 
 MAX_ENUM_SIDE = 8
 MAX_CLASS_SIDE = 9
-MAX_CLASSIFY_SIDE = 4
+MAX_CLASSIFY_SIDE = 5
 
 # ---- generation ----------------------------------------------------------
 
@@ -268,20 +265,51 @@ class ClassReport(_Value):
         self._set(n, canonical, class_size_labelled, index_vector_count, sample_index_vectors)
 
 
+def _index_walk(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each vector in Q(n, 2**n) with its subset-order rows, in combinations order.
+
+    Entries ascend, so entry j is a submask of entry i only if j <= i: row
+    i is fixed once entries 0..i are chosen.  A prefix carries, for each
+    candidate x above its last entry, the mask of its entries that are
+    submasks of x; a child's row is its candidate's mask plus the diagonal,
+    and its own candidates' masks add its bit where its entry is a submask.
+    So each row is built once per prefix, not once per vector.  An explicit
+    stack, children pushed in reverse, keeps the order, as in _walk.
+    """
+    if n == 0:
+        yield (), ()
+        return
+    size = 1 << n
+    top = 1 << (n - 1)
+    stack = [((), (), 0, [0] * size)]
+    while stack:
+        vector, rows, start, masks = stack.pop()
+        k = len(vector)
+        if k == n - 1:
+            for x, mask in zip(range(start, size), masks):
+                yield vector + (x,), rows + (mask | top,)
+            continue
+        bit = 1 << k
+        for x in range(size - n + k, start - 1, -1):  # leaving room for the n - k - 1 entries above x
+            i = x - start
+            child = [m | bit if x & e == x else m for e, m in zip(range(x + 1, size), masks[i + 1 :])]
+            stack.append((vector + (x,), rows + (masks[i] | bit,), x + 1, child))
+
+
 @lru_cache(maxsize=None)
 def _class_table(n: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """canonical rows -> all vectors in Q(n, 2**n) selecting that class.
+    """canonical rows -> all vectors in Q(n, 2**n) selecting that class, in combinations order.
 
-    combinations gives strictly increasing vectors below 2**n, so each
-    realization is read straight from the subset test, unvalidated.
+    The realizations come from the prefix walk, unvalidated, and each
+    distinct one is canonicalized once.
     """
     table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    canon_of: dict[tuple[int, ...], tuple[int, ...]] = {}  # at n = 4, 1820 vectors realize 40 matrices
-    for combo in combinations(range(1 << n), n):
-        rows = _subset_rows(combo)
-        if rows not in canon_of:
-            canon_of[rows] = _canonical_rows(rows)[0]
-        table.setdefault(canon_of[rows], []).append(combo)
+    bucket_of: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # at n = 5, 201376 vectors realize 357 matrices
+    for vector, rows in _index_walk(n):
+        bucket = bucket_of.get(rows)
+        if bucket is None:
+            bucket = bucket_of[rows] = table.setdefault(_canonical_rows(rows)[0], [])
+        bucket.append(vector)
     return {canon: tuple(vectors) for canon, vectors in table.items()}
 
 
@@ -322,20 +350,20 @@ def _dual_classes(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     return {c: _canonical_rows(realize(dual_index(c, n), n).rows)[0] for c in _class_level(n)}
 
 
-def dual_class_check(n: int, pair_samples: int = 10_000, seed: int = 20240901) -> bool:
-    """Whether 'same class' agrees with 'duals in the same class' over Q(n, 2**n).
+def dual_class_check(n: int) -> bool:
+    """Whether 'same class' agrees with 'duals in the same class' over all pairs of Q(n, 2**n).
 
-    Exhaustive over all ordered pairs for n <= 3; for n = 4 a fixed-seed
-    random sample of pairs keeps the quadratic blow-up in check.
+    Exhaustive, without the pairs: it holds exactly when every vector's
+    dual_index lies in the class _dual_classes gives for the vector's
+    class, and _dual_classes is injective.  (Each class's canonical rows
+    are a vector realizing it, so the all-pairs statement gives the first
+    condition, and then the second.)
     """
     if not 0 <= n <= MAX_CLASSIFY_SIDE:
         raise ValueError(f"class scans support n in [0, {MAX_CLASSIFY_SIDE}], got {n}")
-    vectors = list(combinations(range(1 << n), n))
-    canon = {v: c for c, members in _class_table(n).items() for v in members}
+    table = _class_table(n)
     dual_of = _dual_classes(n)
-    if n <= 3:
-        pairs = ((a, b) for a in vectors for b in vectors)
-    else:
-        rng = random.Random(seed)
-        pairs = ((rng.choice(vectors), rng.choice(vectors)) for _ in range(pair_samples))
-    return all((canon[a] == canon[b]) == (dual_of[canon[a]] == dual_of[canon[b]]) for a, b in pairs)
+    if len(set(dual_of.values())) != len(dual_of):
+        return False
+    class_of = {v: c for c, members in table.items() for v in members}
+    return all(class_of[dual_index(v, n)] == dual_of[c] for c, members in table.items() for v in members)

@@ -10,7 +10,7 @@ import pytest
 
 from posetmatrix.bmatrix import BoolMatrix
 from posetmatrix.cli import main
-from posetmatrix.enumeration import _class_level, canonical_form, enumerate_poset_matrices
+from posetmatrix.enumeration import _class_level, _poset_rows, canonical_form, enumerate_poset_matrices
 
 V_MATRIX = "100\n110\n101\n"
 CHAIN_BAD = "100\n110\n011\n"
@@ -19,6 +19,11 @@ CHAIN_BAD = "100\n110\n011\n"
 ORBIT_N5_SHA256 = {
     "text": "be5eabe6efa1d56471de84551ce3b94bac239f3dd577e7ad4b5df6dc2405a8bc",
     "json": "15b974e54766c0bb2107eb818d8f44c15d2ae160ff7dbe36a0d1b6601eb36733",
+}
+# SHA-256 of `pm enumerate --n 7` stdout (96428 records, written one group per 6-row prefix)
+ENUMERATE_N7_SHA256 = {
+    "text": "56aa1a013faa9887e2ba126d70c4778b6cac3ec38ead204fd909adcedbf24b44",
+    "json": "015db86680fabdff1d1d619b92733869ab05e3af1dfcd9c0170b44f0c644294b",
 }
 
 
@@ -194,7 +199,7 @@ def test_enumerate_counts_bound(capsys):
 
 @pytest.mark.parametrize("emit, field", [("matrices", "matrices"), ("canonical", "canonical_forms")])
 def test_enumerate_stream_equals_whole_list_output(capsys, emit, field):
-    # the records are written in batches (n = 6 spans several); build the whole list here instead
+    # the records are written one group per (n-1)-row prefix; build the whole list here instead
     for n in range(7):
         posets = list(enumerate_poset_matrices(n))
         if emit == "canonical":
@@ -205,6 +210,19 @@ def test_enumerate_stream_equals_whole_list_output(capsys, emit, field):
         assert out.out == json.dumps({"n": n, field: [m.to_json_obj() for m in mats]}, indent=2) + "\n"
         out = run_cli(capsys, "enumerate", "--n", str(n), "--emit", emit)
         assert out.out == "\n\n".join(m.to_text() for m in mats) + "\n"
+
+
+@pytest.mark.parametrize("fmt", sorted(ENUMERATE_N7_SHA256))
+def test_enumerate_matrices_side_7_is_pinned(capsys, fmt):
+    mats = [BoolMatrix(7, rows) for rows in _poset_rows(7)]  # validated in the slow suite
+    if fmt == "json":
+        expected = json.dumps({"n": 7, "matrices": [m.to_json_obj() for m in mats]}, indent=2) + "\n"
+    else:
+        expected = "\n\n".join(m.to_text() for m in mats) + "\n"
+    digest = hashlib.sha256(expected.encode()).hexdigest()
+    assert digest == ENUMERATE_N7_SHA256[fmt]
+    out = run_cli(capsys, "enumerate", "--n", "7", "--format", fmt)
+    assert hashlib.sha256(out.out.encode()).hexdigest() == digest
 
 
 def test_enumerate_canonical_side_7_json_equals_json_dumps(capsys):
@@ -252,6 +270,13 @@ def test_orbit_domination_text(capsys):
 def test_orbit_exhaustive_includes_dual(capsys):
     out = run_cli(capsys, "orbit", "--n", "3", "--alpha", "1,2,4", "--method", "exhaustive")
     assert out.out.splitlines() == ["1,2,4", "3,5,6"]
+
+
+def test_orbit_exhaustive_side_5(capsys):
+    out = run_cli(capsys, "orbit", "--n", "5", "--alpha", "1,2,4,8,16", "--method", "exhaustive")
+    lines = out.out.splitlines()
+    assert len(lines) == 2146
+    assert lines[:2] == ["1,2,4,8,16", "1,2,12,20,24"]
 
 
 def test_orbit_json_schema(capsys):

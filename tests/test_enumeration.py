@@ -12,7 +12,9 @@ from posetmatrix.bmatrix import BoolMatrix, Permutation, identity, is_idempotent
 from posetmatrix.enumeration import (
     MAX_ENUM_SIDE,
     _class_level,
+    _class_table,
     _dual_classes,
+    _index_walk,
     _poset_rows,
     canonical_form,
     canonical_labelling,
@@ -23,7 +25,8 @@ from posetmatrix.enumeration import (
     enumerate_poset_matrices,
     pascal_class,
 )
-from posetmatrix.posetcore import NotTransitiveError, dual, realize, validate
+from posetmatrix.pascal import _subset_rows
+from posetmatrix.posetcore import NotTransitiveError, dual, dual_index, realize, validate
 
 A006455 = (1, 1, 2, 7, 40, 357, 4824, 96428, 2800472, 116473461)  # naturally labelled posets, n = 0..9
 A000112 = (1, 1, 2, 5, 16, 63, 318, 2045, 16999, 183231)  # unlabelled posets, n = 0..9
@@ -412,6 +415,42 @@ def test_class_weights_match_classification():
 # ---- index-vector classification ----
 
 
+def subset_rows_class_table(n):
+    """The class table from every combination's subset rows, each realization canonicalized once."""
+    table, canon_of = {}, {}
+    for vector in itertools.combinations(range(1 << n), n):
+        rows = _subset_rows(vector)
+        if rows not in canon_of:
+            canon_of[rows] = canonical_form(validate(BoolMatrix(n, rows))).rows
+        table.setdefault(canon_of[rows], []).append(vector)
+    return {canon: tuple(vectors) for canon, vectors in table.items()}
+
+
+def test_index_walk_is_combinations_with_subset_rows():
+    for n in range(5):
+        expected = [(v, _subset_rows(v)) for v in itertools.combinations(range(1 << n), n)]
+        assert list(_index_walk(n)) == expected
+
+
+def test_class_table_matches_subset_rows_construction():
+    for n in range(5):
+        assert _class_table(n) == subset_rows_class_table(n)
+
+
+@pytest.mark.slow
+def test_index_walk_and_class_table_side_5():
+    expected = [(v, _subset_rows(v)) for v in itertools.combinations(range(32), 5)]
+    assert list(_index_walk(5)) == expected
+    assert _class_table(5) == subset_rows_class_table(5)
+
+
+def test_classify_five_elements():
+    reports = classify_index_vectors(5)
+    assert len(reports) == 63
+    assert sum(r.class_size_labelled for r in reports) == 357
+    assert sum(r.index_vector_count for r in reports) == 201376
+
+
 def test_classify_three_elements():
     reports = classify_index_vectors(3)
     assert len(reports) == 5
@@ -425,7 +464,7 @@ def test_classify_three_elements():
 
 def test_classify_identity_class_sizes():
     # the antichain class: one labelled matrix; its vectors are the antichain selections
-    for n in range(1, 5):
+    for n in range(1, 6):
         reports = classify_index_vectors(n)
         identity_report = next(r for r in reports if r.canonical.matrix == identity(n))
         assert identity_report.class_size_labelled == 1
@@ -433,7 +472,9 @@ def test_classify_identity_class_sizes():
 
 def test_classify_bounds():
     with pytest.raises(ValueError):
-        classify_index_vectors(5)
+        classify_index_vectors(6)
+    with pytest.raises(ValueError):
+        dual_class_check(6)
 
 
 def test_pascal_class_of_identity_vector():
@@ -485,5 +526,22 @@ def test_dual_class_check_small():
         assert dual_class_check(n)
 
 
-def test_dual_class_check_is_deterministic():
-    assert dual_class_check(4, pair_samples=500) == dual_class_check(4, pair_samples=500)
+def test_dual_class_check_fails_on_a_wrong_dual_map(monkeypatch):
+    # mapping each class to itself is injective, but not every class is self-dual
+    monkeypatch.setattr(enumeration, "_dual_classes", lambda n: {rows: rows for rows in _class_level(n)})
+    assert not dual_class_check(3)
+    assert not dual_class_check(4)
+
+
+def test_dual_class_check_is_the_all_pairs_statement():
+    for n in range(4):
+        vectors = list(itertools.combinations(range(1 << n), n))
+        form = {v: canonical_form(realize(v, n)).rows for v in vectors}
+        dual_form = {v: canonical_form(realize(dual_index(v, n), n)).rows for v in vectors}
+        holds = all((form[a] == form[b]) == (dual_form[a] == dual_form[b]) for a in vectors for b in vectors)
+        assert dual_class_check(n) == holds
+
+
+@pytest.mark.slow
+def test_dual_class_check_side_5():
+    assert dual_class_check(5) is True
