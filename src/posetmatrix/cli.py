@@ -264,7 +264,7 @@ def _cmd_orbit(args) -> int:
     else:
         from .enumeration import pascal_class
 
-        members = tuple(sorted(pascal_class(alpha, args.n)))
+        members = pascal_class(alpha, args.n)
         result = OrbitResult(alpha, args.n, members, True, math.comb(1 << args.n, args.n))
     if args.format == "json":
         _emit_json(result.to_json_obj())

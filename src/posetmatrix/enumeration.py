@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .bmatrix import BoolMatrix, Permutation, _Value, iter_bits
-from .posetcore import PosetMatrix, _check_orbit_vector, dual_index, realize
+from .posetcore import PosetMatrix, _check_orbit_vector, _dual_entries, realize
 
 MAX_ENUM_SIDE = 8
 MAX_CLASS_SIDE = 9
 MAX_CLASSIFY_SIDE = 5
+SAMPLE_INDEX_VECTORS = 8  # vectors each ClassReport lists, the first in combinations order
 
 # ---- generation ----------------------------------------------------------
 
@@ -40,7 +40,10 @@ def _walk(n: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     stops a level short: lists built for the leaves would cost several
     times the rest of the walk.  An explicit stack, children pushed in
     reverse, keeps the order without a chain of generators per prefix.
+    Side 0 has no (n-1)-row prefix, so it yields nothing.
     """
+    if n == 0:
+        return
     stack = [((), [0])]
     while stack:
         prefix, sets = stack.pop()
@@ -297,39 +300,41 @@ def _index_walk(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
 
 
 @lru_cache(maxsize=None)
-def _class_table(n: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """canonical rows -> all vectors in Q(n, 2**n) selecting that class, in combinations order.
+def _class_table(n: int) -> dict[tuple[int, ...], tuple[int, tuple[tuple[int, ...], ...]]]:
+    """canonical rows -> (labelled matrices, vectors in Q(n, 2**n)) of that class, vectors in combinations order.
 
     The realizations come from the prefix walk, unvalidated, and each
-    distinct one is canonicalized once.
+    distinct one is canonicalized once.  Every n x n poset matrix is the
+    realization of its own rows, so a class's distinct realizations are
+    its labelled matrices, and its canonical rows are one of its vectors.
     """
     table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    labelled: dict[tuple[int, ...], int] = {}
     bucket_of: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # at n = 5, 201376 vectors realize 357 matrices
     for vector, rows in _index_walk(n):
         bucket = bucket_of.get(rows)
         if bucket is None:
-            bucket = bucket_of[rows] = table.setdefault(_canonical_rows(rows)[0], [])
+            canon = _canonical_rows(rows)[0]
+            labelled[canon] = labelled.get(canon, 0) + 1
+            bucket = bucket_of[rows] = table.setdefault(canon, [])
         bucket.append(vector)
-    return {canon: tuple(vectors) for canon, vectors in table.items()}
+    return {canon: (labelled[canon], tuple(vectors)) for canon, vectors in table.items()}
 
 
-def classify_index_vectors(n: int, sample_limit: int = 8) -> list[ClassReport]:
+def classify_index_vectors(n: int) -> list[ClassReport]:
     """Partition all C(2**n, n) index vectors by the isomorphism class they realize."""
     if not 0 <= n <= MAX_CLASSIFY_SIDE:
         raise ValueError(f"classification supports n in [0, {MAX_CLASSIFY_SIDE}], got {n}")
-    labelled = Counter(_canonical_rows(rows)[0] for rows in _poset_rows(n))
-    reports = []
-    for canon, vectors in sorted(_class_table(n).items()):
-        reports.append(
-            ClassReport(
-                n=n,
-                canonical=PosetMatrix(BoolMatrix(n, canon)),
-                class_size_labelled=labelled[canon],
-                index_vector_count=len(vectors),
-                sample_index_vectors=vectors[:sample_limit],
-            )
+    return [
+        ClassReport(
+            n=n,
+            canonical=PosetMatrix(BoolMatrix(n, canon)),
+            class_size_labelled=labelled,
+            index_vector_count=len(vectors),
+            sample_index_vectors=vectors[:SAMPLE_INDEX_VECTORS],
         )
-    return reports
+        for canon, (labelled, vectors) in sorted(_class_table(n).items())
+    ]
 
 
 def pascal_class(alpha: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
@@ -337,33 +342,23 @@ def pascal_class(alpha: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
     if not 0 <= n <= MAX_CLASSIFY_SIDE:
         raise ValueError(f"class scans support n in [0, {MAX_CLASSIFY_SIDE}], got {n}")
     entries = _check_orbit_vector(alpha, n)
-    return _class_table(n)[_canonical_rows(realize(entries, n).rows)[0]]
-
-
-@lru_cache(maxsize=None)
-def _dual_classes(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Canonical rows of each n-element class -> canonical rows of its dual's class.
-
-    A class's canonical rows, read as integers, are an index vector in
-    Q(n, 2**n) that realizes it; dual_index of that vector realizes the dual.
-    """
-    return {c: _canonical_rows(realize(dual_index(c, n), n).rows)[0] for c in _class_level(n)}
+    return _class_table(n)[_canonical_rows(realize(entries, n).rows)[0]][1]
 
 
 def dual_class_check(n: int) -> bool:
     """Whether 'same class' agrees with 'duals in the same class' over all pairs of Q(n, 2**n).
 
-    Exhaustive, without the pairs: it holds exactly when every vector's
-    dual_index lies in the class _dual_classes gives for the vector's
-    class, and _dual_classes is injective.  (Each class's canonical rows
-    are a vector realizing it, so the all-pairs statement gives the first
-    condition, and then the second.)
+    Exhaustive, without the pairs: a class's canonical rows c are one of
+    its vectors, so read its dual class as the class of dual_index(c); the
+    statement holds exactly when every vector's dual_index lies in the dual
+    class of its own class, and no two classes share a dual class.  (The
+    all-pairs statement gives the first condition, and then the second.)
     """
     if not 0 <= n <= MAX_CLASSIFY_SIDE:
         raise ValueError(f"class scans support n in [0, {MAX_CLASSIFY_SIDE}], got {n}")
     table = _class_table(n)
-    dual_of = _dual_classes(n)
+    class_of = {v: c for c, (_, members) in table.items() for v in members}
+    dual_of = {c: class_of[_dual_entries(c, n)] for c in table}
     if len(set(dual_of.values())) != len(dual_of):
         return False
-    class_of = {v: c for c, members in table.items() for v in members}
-    return all(class_of[dual_index(v, n)] == dual_of[c] for c, members in table.items() for v in members)
+    return all(class_of[_dual_entries(v, n)] == dual_of[c] for c, (_, members) in table.items() for v in members)

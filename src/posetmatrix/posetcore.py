@@ -139,11 +139,15 @@ def dual(a: PosetMatrix) -> PosetMatrix:
     return validate(flip_transpose(a.matrix))
 
 
-def dual_index(alpha: Sequence[int], n: int) -> tuple[int, ...]:
-    """Index vector of the dual realization: complement each entry against 2**n - 1 and reverse."""
-    entries = check_index_vector(alpha, 1 << _check_ambient(n))
+def _dual_entries(entries: Sequence[int], n: int) -> tuple[int, ...]:
+    """dual_index of entries already known to be an index vector in the Pascal matrix of side 2**n."""
     top = (1 << n) - 1
     return tuple(top - a for a in reversed(entries))
+
+
+def dual_index(alpha: Sequence[int], n: int) -> tuple[int, ...]:
+    """Index vector of the dual realization: complement each entry against 2**n - 1 and reverse."""
+    return _dual_entries(check_index_vector(alpha, 1 << _check_ambient(n)), n)
 
 
 def is_self_dual_index(alpha: Sequence[int], n: int) -> bool:

@@ -18,7 +18,7 @@ from posetmatrix.domination import (
     permute,
     reduce_to_poset_matrix,
 )
-from posetmatrix.enumeration import canonical_form, enumerate_poset_matrices, pascal_class
+from posetmatrix.enumeration import _class_table, canonical_form, enumerate_poset_matrices, pascal_class
 from posetmatrix.posetcore import even_odd_moves, realize
 
 WORKED_ALPHA = (2, 5, 9, 13)
@@ -348,6 +348,42 @@ def test_orbit_contains_even_odd_moves():
 def test_orbit_within_pascal_class():
     for alpha in itertools.combinations(range(8), 3):
         assert set(domination_orbit(alpha, 3).members) <= set(pascal_class(alpha, 3))
+
+
+def orbit_splits(n):
+    """First vector of each Pascal class that holds more than one domination orbit -> its orbit sizes, ascending.
+
+    The orbits of a class's vectors must lie inside the class, be disjoint and cover it.
+    """
+    splits = {}
+    for _, vectors in _class_table(n).values():
+        left = set(vectors)
+        sizes = []
+        for alpha in vectors:
+            if alpha in left:
+                result = domination_orbit(alpha, n)
+                assert result.exhausted
+                orbit = set(result.members)
+                assert orbit <= left, alpha
+                left -= orbit
+                sizes.append(len(orbit))
+        assert not left
+        if len(sizes) > 1:
+            splits[vectors[0]] = sorted(sizes)
+    return splits
+
+
+def test_orbits_partition_pascal_classes():
+    assert [orbit_splits(n) for n in range(5)] == [{}, {}, {}, {(1, 2, 4): [1, 1]}, {(1, 2, 4, 8): [1, 1, 3, 20]}]
+
+
+@pytest.mark.slow
+def test_orbits_partition_pascal_classes_side_5():
+    assert orbit_splits(5) == {
+        (1, 2, 4, 8, 16): [1, 1, 2144],
+        (1, 2, 4, 15, 23): [10, 10],
+        (1, 2, 7, 11, 19): [10, 10],
+    }
 
 
 def test_orbit_is_symmetric():

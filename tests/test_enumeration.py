@@ -13,7 +13,6 @@ from posetmatrix.enumeration import (
     MAX_ENUM_SIDE,
     _class_level,
     _class_table,
-    _dual_classes,
     _index_walk,
     _poset_rows,
     canonical_form,
@@ -257,6 +256,20 @@ def test_poset_rows_match_candidate_scan():
         assert list(_poset_rows(n)) == list(candidate_scan_completions((), n)), n
 
 
+def test_walk_of_side_0_yields_nothing():
+    # side 0 has no (n-1)-row prefix; a walk that looks for one never ends and its lists double per
+    # level, so it runs in a child with a memory cap and a timeout, and a hang fails instead of hanging
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
+        "from posetmatrix.enumeration import _walk\n"
+        "print(list(_walk(0)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_tree_count_matches_enumeration():
     for n in range(8):
         assert count_poset_matrices(n) == sum(1 for _ in enumerate_poset_matrices(n))
@@ -423,7 +436,10 @@ def subset_rows_class_table(n):
         if rows not in canon_of:
             canon_of[rows] = canonical_form(validate(BoolMatrix(n, rows))).rows
         table.setdefault(canon_of[rows], []).append(vector)
-    return {canon: tuple(vectors) for canon, vectors in table.items()}
+    realizations = {}
+    for canon in canon_of.values():
+        realizations[canon] = realizations.get(canon, 0) + 1
+    return {canon: (realizations[canon], tuple(vectors)) for canon, vectors in table.items()}
 
 
 def test_index_walk_is_combinations_with_subset_rows():
@@ -488,6 +504,7 @@ def test_pascal_class_partitions_vectors():
             continue
         cls = pascal_class(alpha, 4)
         assert alpha in cls
+        assert list(cls) == sorted(cls)  # pm orbit --method exhaustive prints them in this order
         seen.update(cls)
     assert len(seen) == 1820
 
@@ -514,11 +531,13 @@ def test_dual_respects_classes_exhaustively():
 
 
 def test_dual_classes_match_dual_matrices():
+    # the Pascal table and the class tree reach the same classes; the table's dual class is dual()'s
     for n in range(6):
-        duals = _dual_classes(n)
-        assert set(duals) == set(_class_level(n))
+        table = _class_table(n)
+        assert set(table) == _class_level(n)
+        class_of = {v: c for c, (_, members) in table.items() for v in members}
         for a in enumerate_poset_matrices(n):
-            assert duals[canonical_form(a).rows] == canonical_form(dual(a)).rows
+            assert class_of[dual_index(canonical_form(a).rows, n)] == canonical_form(dual(a)).rows
 
 
 def test_dual_class_check_small():
@@ -527,8 +546,10 @@ def test_dual_class_check_small():
 
 
 def test_dual_class_check_fails_on_a_wrong_dual_map(monkeypatch):
-    # mapping each class to itself is injective, but not every class is self-dual
-    monkeypatch.setattr(enumeration, "_dual_classes", lambda n: {rows: rows for rows in _class_level(n)})
+    # fixing each canonical form maps each class to itself, an injective map, but not every class is
+    # self-dual: the other vectors of a class that is not go to its dual class, so the map breaks classes
+    forms = {canonical_form(a).rows for n in (3, 4) for a in enumerate_poset_matrices(n)}
+    monkeypatch.setattr(enumeration, "_dual_entries", lambda v, n: v if v in forms else dual_index(v, n))
     assert not dual_class_check(3)
     assert not dual_class_check(4)
 
