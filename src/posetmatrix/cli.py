@@ -16,7 +16,6 @@ import argparse
 import math
 import os
 import sys
-from itertools import groupby
 
 from . import DEFAULT_ORBIT_BUDGET, __version__
 
@@ -202,7 +201,6 @@ def _cmd_enumerate(args) -> int:
     from .enumeration import (
         MAX_CLASS_SIDE,
         MAX_ENUM_SIDE,
-        _class_level,
         _walk,
         count_isomorphism_classes,
         count_poset_matrices,
@@ -226,16 +224,11 @@ def _cmd_enumerate(args) -> int:
             print(f"poset matrices: {value['poset_matrices']}")
             print(f"isomorphism classes: {value['isomorphism_classes']}")
         return 0
+    canonical = args.emit == "canonical"
     if not 0 <= n <= MAX_ENUM_SIDE:
-        what = "canonical emission" if args.emit == "canonical" else "enumeration"
+        what = "canonical emission" if canonical else "enumeration"
         raise ValueError(f"{what} supports n in [0, {MAX_ENUM_SIDE}], got {n}")
-    if args.emit == "canonical":
-        top = 1 << n >> 1  # the diagonal bit of the last row; the groups are not read at n = 0
-        forms = groupby(sorted(_class_level(n)), key=lambda rows: rows[:-1])
-        groups = ((prefix, [rows[-1] ^ top for rows in group]) for prefix, group in forms)
-        _write_records(n, "canonical_forms", groups, args.format == "json")
-    else:
-        _write_records(n, "matrices", _walk(n), args.format == "json")
+    _write_records(n, "canonical_forms" if canonical else "matrices", _walk(n, canonical), args.format == "json")
     return 0
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from . import DEFAULT_ORBIT_BUDGET
 from .bmatrix import BoolMatrix, _Value, iter_bits, permute  # permute is re-exported
-from .pascal import _subset_rows
+from .pascal import _integer_entries, _subset_rows
 from .posetcore import PosetMatrix, _check_orbit_vector, validate
 
 
@@ -30,7 +30,7 @@ class NotChangeableError(ValueError):
 
 def incidence_matrix(alpha: Sequence[int], n: int) -> BoolMatrix:
     """n x n matrix whose row i is the binary expansion of alpha[i]."""
-    entries = tuple(int(a) for a in alpha)
+    entries = _integer_entries(alpha)
     if len(entries) != n:
         raise ValueError(f"need exactly {n} entries, got {len(entries)}")
     limit = 1 << n

@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .bmatrix import BoolMatrix, Permutation, _Value, iter_bits
+from .bmatrix import BoolMatrix, Permutation, _Value, _row_text
 from .posetcore import PosetMatrix, _check_orbit_vector, _dual_entries, realize
 
 MAX_ENUM_SIDE = 8
@@ -30,8 +30,8 @@ def _down_sets(prefix: tuple[int, ...]) -> list[int]:
     return sets
 
 
-def _walk(n: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """Each (n-1)-row prefix of a side-n poset matrix with its down-sets, in increasing row-mask order.
+def _walk(n: int, canonical: bool = False) -> Iterator[tuple[tuple[int, ...], Sequence[int]]]:
+    """Each (n-1)-row prefix of a side-n poset matrix with the down-sets that complete it, in increasing row-mask order.
 
     The down-sets of prefix + (below | top,) are those of prefix plus, with
     the new element added, those that hold below; so each child gets its
@@ -41,17 +41,23 @@ def _walk(n: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     times the rest of the walk.  An explicit stack, children pushed in
     reverse, keeps the order without a chain of generators per prefix.
     Side 0 has no (n-1)-row prefix, so it yields nothing.
+
+    With canonical, the walk visits canonical forms only: each prefix is
+    extended, and yielded, by its _canonical_lasts, which reads the
+    prefix's down-sets itself so that it can be memoized by prefix alone.
+    The carried lists stay those of every down-set, not of the lasts.
     """
     if n == 0:
         return
     stack = [((), [0])]
     while stack:
         prefix, sets = stack.pop()
+        lasts = _canonical_lasts(prefix) if canonical else sets
         if len(prefix) == n - 1:
-            yield prefix, sets
+            yield prefix, lasts
             continue
         top = 1 << len(prefix)
-        for below in reversed(sets):
+        for below in reversed(lasts):
             stack.append((prefix + (below | top,), sets + [s | top for s in sets if s & below == below]))
 
 
@@ -198,46 +204,38 @@ def canonical_form(a: PosetMatrix) -> PosetMatrix:
 # ---- the class tree ------------------------------------------------------
 
 
-def _largest_last_extensions(rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """One-row extensions of rows whose new element has the largest down-set among their maximal elements.
+@lru_cache(maxsize=None)
+def _canonical_lasts(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """Down-sets D of the canonical form rows for which rows + (D | top,) is canonical, ascending.
 
-    The new element is above just the down-set D it picks, so the other
-    maximal elements are those of rows outside D, with their down-sets
-    unchanged; the test is |D| + 1 >= |down(m)| for each of them.
+    Deleting the last row of a canonical form leaves a canonical form (a
+    smaller relabelling of the rest, with the last element kept last, would
+    be a smaller relabelling of the whole), so the canonical forms are a
+    prefix-closed tree and each class is reached once, from the canonical
+    form of its first n-1 rows: orderly generation (Read, 1978).
+
+    A quick test rejects most non-canonical children without a search.
+    The new element may be inserted at any position p from D.bit_length()
+    on, the rows before p kept; if the element at p has a larger row key
+    than D | 1 << p there, that is a smaller relabelling.  Both keys have
+    bit p set and nothing above it, so they compare by their strict parts,
+    as _row_text strings (column 0 first).  Callers ask for the same forms
+    again (counts for n = 0, 1, 2, ... in turn), so they are memoized; the
+    memo holds the forms below the side asked for, never its leaves.
     """
     n = len(rows)
     top = 1 << n
-    maximal = top - 1
-    for i, row in enumerate(rows):
-        maximal &= ~row | (1 << i)
-    above = [0] * (n + 2)  # above[s]: the maximal elements whose down-sets have more than s elements
-    for m in iter_bits(maximal):
-        for s in range(rows[m].bit_count()):
-            above[s] |= 1 << m
+    most = [""] * (n + 1)  # most[p]: the largest strict-part key at positions p..n-1
+    for p in range(n - 1, -1, -1):
+        most[p] = max(most[p + 1], _row_text(rows[p] ^ 1 << p, n))
+    lasts = []
     for below in _down_sets(rows):
-        if not above[below.bit_count() + 1] & ~below:
-            yield rows + (below | top,)
-
-
-@lru_cache(maxsize=None)
-def _class_level(n: int) -> frozenset[tuple[int, ...]]:
-    """Canonical rows of every n-element isomorphism class.
-
-    Each class is reached by deleting a maximal element x whose down-set is
-    largest among the maximal elements: what is left is the class of some
-    (n-1)-element form P, x's strict down-set maps to a down-set D of P,
-    and every maximal m of P outside D is maximal in the whole poset with
-    the same down-set, so |D| + 1 >= |down(m)|.  So level n is the
-    canonical forms of the one-row extensions of the level n-1 forms that
-    pass this test (a relaxed canonical construction path, after Brinkmann
-    and McKay); the others repeat a class that a passing extension
-    reaches, and repeats collapse in the set.
-    """
-    if n == 0:
-        return frozenset([()])
-    return frozenset(
-        _canonical_rows(child)[0] for rows in _class_level(n - 1) for child in _largest_last_extensions(rows)
-    )
+        if _row_text(below, n) < most[below.bit_length()]:
+            continue
+        child = rows + (below | top,)
+        if _canonical_rows(child)[0] == child:
+            lasts.append(below)
+    return tuple(lasts)
 
 
 def count_poset_matrices(n: int) -> int:
@@ -250,10 +248,12 @@ def count_poset_matrices(n: int) -> int:
 
 
 def count_isomorphism_classes(n: int) -> int:
-    """Number of isomorphism classes of n-element posets."""
+    """Number of isomorphism classes of n-element posets: one per canonical last of each canonical prefix."""
     if not 0 <= n <= MAX_CLASS_SIDE:
         raise ValueError(f"class counting supports n in [0, {MAX_CLASS_SIDE}], got {n}")
-    return len(_class_level(n))
+    if n == 0:
+        return 1
+    return sum(len(lasts) for _, lasts in _walk(n, canonical=True))
 
 
 # ---- index-vector classification -----------------------------------------

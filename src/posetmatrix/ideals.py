@@ -54,14 +54,34 @@ def ideal_to_antichain(mask: int, n: int) -> int:
 
 
 def _strictly_below(mask: int) -> int:
-    """Union of the strict predecessors of mask's elements, from a table sized by the mask."""
-    preds = _pred_masks(mask.bit_length())
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= preds[low.bit_length() - 1]
-        mask ^= low
-    return out
+    """Union of the strict predecessors of mask's elements: their proper submasks.
+
+    An element x with bit b set lies just above x - 2**b, so
+    (m & plane_b) >> 2**b moves each such element of m one step down.  A
+    proper submask of x clears a nonempty set of x's bits, and clearing
+    them in ascending order reaches it, so one pass over b, each step taken
+    from the mask and from everything already below it, gives every strict
+    predecessor.  The cost follows the mask's bit length in big-int
+    operations, not the rows of its elements.
+    """
+    below = 0
+    for b, plane in enumerate(_bit_planes(mask.bit_length())):
+        below |= ((mask | below) & plane) >> (1 << b)
+    return below
+
+
+@lru_cache(maxsize=None)
+def _bit_planes(n: int) -> tuple[int, ...]:
+    """For each bit b of the elements below n, the mask of the elements with bit b set."""
+    planes = []
+    for b in range((n - 1).bit_length()):
+        run = 1 << b
+        plane, width = ((1 << run) - 1) << run, 2 * run  # one period: run elements without bit b, run with it
+        while width < n:
+            plane |= plane << width
+            width *= 2
+        planes.append(plane & ((1 << n) - 1))
+    return tuple(planes)
 
 
 @lru_cache(maxsize=None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import index
 from typing import Iterable, Sequence
 
 from .bmatrix import MAX_SIDE, BoolMatrix
@@ -64,9 +65,20 @@ def support_poset_matrix(n: int) -> BoolMatrix:
     return BoolMatrix(n, tuple(rows))
 
 
+def _integer_entries(alpha: Iterable[int]) -> tuple[int, ...]:
+    """alpha as a tuple of ints; an entry that is not an integer (a float, a str, None) raises ValueError."""
+    entries = []
+    for a in alpha:
+        try:
+            entries.append(index(a))
+        except TypeError:
+            raise ValueError(f"index vector entries must be integers, got {a!r}") from None
+    return tuple(entries)
+
+
 def check_index_vector(alpha: Iterable[int], universe: int) -> tuple[int, ...]:
-    """Normalize alpha to a tuple; entries must be strictly increasing and lie in [0, universe)."""
-    entries = tuple(int(a) for a in alpha)
+    """Normalize alpha to a tuple of ints; entries must be strictly increasing and lie in [0, universe)."""
+    entries = _integer_entries(alpha)
     if any(b <= a for a, b in zip(entries, entries[1:])):
         raise ValueError(f"index vector must be strictly increasing: {entries}")
     if entries and not (0 <= entries[0] and entries[-1] < universe):

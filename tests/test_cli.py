@@ -10,7 +10,7 @@ import pytest
 
 from posetmatrix.bmatrix import BoolMatrix
 from posetmatrix.cli import main
-from posetmatrix.enumeration import _class_level, _poset_rows, canonical_form, enumerate_poset_matrices
+from posetmatrix.enumeration import _poset_rows, _walk, canonical_form, enumerate_poset_matrices
 
 V_MATRIX = "100\n110\n101\n"
 CHAIN_BAD = "100\n110\n011\n"
@@ -25,6 +25,8 @@ ENUMERATE_N7_SHA256 = {
     "text": "56aa1a013faa9887e2ba126d70c4778b6cac3ec38ead204fd909adcedbf24b44",
     "json": "015db86680fabdff1d1d619b92733869ab05e3af1dfcd9c0170b44f0c644294b",
 }
+# SHA-256 of `pm enumerate --n 7 --emit canonical --format json` stdout, as the level-set route printed it
+ENUMERATE_CANONICAL_N7_JSON_SHA256 = "ab68a0743de4156b8e4e631e7d4cd82cf2180984c4535c4e2241e442e8e8d1f6"
 
 
 def run_cli(capsys, *argv, expect=0):
@@ -225,11 +227,18 @@ def test_enumerate_matrices_side_7_is_pinned(capsys, fmt):
     assert hashlib.sha256(out.out.encode()).hexdigest() == digest
 
 
+def class_forms(n):
+    """Canonical forms of every n-element class (n >= 1), ascending, from the walk kept to canonical prefixes."""
+    top = 1 << (n - 1)
+    return [prefix + (below | top,) for prefix, lasts in _walk(n, canonical=True) for below in lasts]
+
+
 def test_enumerate_canonical_side_7_json_equals_json_dumps(capsys):
-    forms = [BoolMatrix(7, rows).to_json_obj() for rows in sorted(_class_level(7))]
+    forms = [BoolMatrix(7, rows).to_json_obj() for rows in class_forms(7)]
     assert len(forms) == 2045
     out = run_cli(capsys, "enumerate", "--n", "7", "--emit", "canonical", "--format", "json")
     assert out.out == json.dumps({"n": 7, "canonical_forms": forms}, indent=2) + "\n"
+    assert hashlib.sha256(out.out.encode()).hexdigest() == ENUMERATE_CANONICAL_N7_JSON_SHA256
 
 
 @pytest.mark.parametrize("n", ["-1", "9"])

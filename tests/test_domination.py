@@ -114,6 +114,9 @@ def test_incidence_matrix_checks_range():
         incidence_matrix((2, 5, 9), 4)
     with pytest.raises(ValueError):
         incidence_matrix((2, 5, 9, 16), 4)
+    for alpha in [(1.9, 2), "12", (None, 2)]:
+        with pytest.raises(ValueError, match="must be integers"):
+            incidence_matrix(alpha, 2)
 
 
 def test_index_of_sorts_rows():

@@ -11,7 +11,6 @@ from posetmatrix import enumeration
 from posetmatrix.bmatrix import BoolMatrix, Permutation, identity, is_idempotent, permute_similar
 from posetmatrix.enumeration import (
     MAX_ENUM_SIDE,
-    _class_level,
     _class_table,
     _index_walk,
     _poset_rows,
@@ -182,6 +181,14 @@ def automorphism_count(rows):
     return extend([])
 
 
+def class_forms(n):
+    """Canonical forms of every n-element class, ascending, from the walk kept to canonical prefixes."""
+    if n == 0:
+        return [()]
+    top = 1 << (n - 1)
+    return [prefix + (below | top,) for prefix, lasts in enumeration._walk(n, canonical=True) for below in lasts]
+
+
 def labelling_count(rows):
     """e(P) / |Aut(P)|: the natural labellings of P's class, asserted exact."""
     labellings, rest = divmod(linear_extension_count(rows), automorphism_count(rows))
@@ -263,11 +270,11 @@ def test_walk_of_side_0_yields_nothing():
         "import resource\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
         "from posetmatrix.enumeration import _walk\n"
-        "print(list(_walk(0)))\n"
+        "print(list(_walk(0)), list(_walk(0, canonical=True)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[] []\n"
 
 
 def test_tree_count_matches_enumeration():
@@ -322,16 +329,17 @@ def test_class_tree_side_8_peak_memory():
 @pytest.mark.slow
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM from /proc/self/status")
 def test_class_count_side_9_and_peak_memory():
-    # The side-8 and side-9 forms take it to about 51 MB.
+    # A level set of the side-8 and side-9 forms took it to about 52 MB; the prefix memo holds only
+    # the forms of sides up to 8, about 21 MB at the peak.
     count, peak_kb = class_count_in_child(9)
     assert count == A000112[9]
-    assert peak_kb < 64 * 1024
+    assert peak_kb < 32 * 1024
 
 
 @pytest.mark.slow
 def test_labelled_count_side_9_by_walk_and_by_forms():
     # each side-9 matrix is a side-8 one plus a down-set, and a side-8 class has e(C) / |Aut(C)| labellings
-    by_forms = sum(labelling_count(rows) * len(enumeration._down_sets(rows)) for rows in enumeration._class_level(8))
+    by_forms = sum(labelling_count(rows) * len(enumeration._down_sets(rows)) for rows in class_forms(8))
     assert count_poset_matrices(9) == by_forms == A006455[9]
 
 
@@ -398,20 +406,30 @@ def test_class_count_equals_distinct_canonical_forms():
 
 
 def test_class_tree_is_the_set_of_canonical_forms():
+    # a list, not a set: each class once, in ascending order
     for n in range(7):
-        assert set(enumeration._class_level(n)) == {canonical_form(a).rows for a in enumerate_poset_matrices(n)}
+        assert class_forms(n) == sorted({canonical_form(a).rows for a in enumerate_poset_matrices(n)})
+
+
+def test_canonical_lasts_quick_test_rejects_only_non_canonical_children():
+    for n in range(7):
+        top = 1 << n
+        for rows in class_forms(n):
+            children = [rows + (below | top,) for below in enumeration._down_sets(rows)]
+            passing = [child[-1] ^ top for child in children if enumeration._canonical_rows(child)[0] == child]
+            assert list(enumeration._canonical_lasts(rows)) == passing, rows
 
 
 def test_class_weights_are_labelling_counts():
     # a class P has e(P) / |Aut(P)| natural labellings, so the forms and the walk count the same matrices
     for n in range(7):
-        assert sum(labelling_count(rows) for rows in enumeration._class_level(n)) == count_poset_matrices(n)
+        assert sum(labelling_count(rows) for rows in class_forms(n)) == count_poset_matrices(n)
 
 
 def test_labelling_counts_match_classification():
     for n in range(5):
         sizes = {r.canonical.rows: r.class_size_labelled for r in classify_index_vectors(n)}
-        assert sizes == {rows: labelling_count(rows) for rows in enumeration._class_level(n)}
+        assert sizes == {rows: labelling_count(rows) for rows in class_forms(n)}
 
 
 def test_class_weights_match_classification():
@@ -534,7 +552,7 @@ def test_dual_classes_match_dual_matrices():
     # the Pascal table and the class tree reach the same classes; the table's dual class is dual()'s
     for n in range(6):
         table = _class_table(n)
-        assert set(table) == _class_level(n)
+        assert set(table) == set(class_forms(n))
         class_of = {v: c for c, (_, members) in table.items() for v in members}
         for a in enumerate_poset_matrices(n):
             assert class_of[dual_index(canonical_form(a).rows, n)] == canonical_form(dual(a)).rows

@@ -12,6 +12,7 @@ from posetmatrix.ideals import (
     _count_by_quarters,
     _down_counts,
     _pred_masks,
+    _strictly_below,
     _variable_orbits,
     _walk_ideals,
     antichain_table,
@@ -27,7 +28,7 @@ from posetmatrix.ideals import (
     iter_ideals,
     principal_ideal,
 )
-from posetmatrix.pascal import pascal_matrix
+from posetmatrix.pascal import _submask_row, pascal_matrix
 
 IDEAL_COUNTS = [1, 2, 3, 5, 6, 11, 14, 19, 20, 39]
 # OEIS A000372, D(0)..D(7)
@@ -199,6 +200,34 @@ def test_closure_cost_follows_the_mask_not_n():
         timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (0, "15 True 8 True True True\n"), proc.stderr
+
+
+def test_strictly_below_matches_per_element_rows():
+    rng = random.Random(4711)
+    masks = list(range(1 << 12)) + [rng.getrandbits(32) for _ in range(500)]
+    masks += [rng.getrandbits(200) for _ in range(200)]
+    for mask in masks:
+        expected = 0
+        for e in iter_bits(mask):
+            expected |= _submask_row(e) ^ 1 << e
+        assert _strictly_below(mask) == expected, mask
+
+
+def test_closure_of_a_high_element_builds_no_row_table():
+    # One element, at each of 16368..16383: a table of the predecessor rows of every element up to the
+    # top bit took 1.6 s and 16 MB per bit length; the bit planes take 14 masked shifts.
+    code = (
+        "from posetmatrix.ideals import is_antichain\n"
+        "print(all(is_antichain(1 << k, k + 1) for k in range(16368, 16384)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20)),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
 
 
 def test_mask_bounds_checked():

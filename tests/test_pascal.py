@@ -89,6 +89,10 @@ def test_check_index_vector():
         check_index_vector((0, 8), 8)
     with pytest.raises(ValueError):
         check_index_vector((-1, 3), 8)
+    # not truncated by int() or read digit by digit: the error names the entry
+    for alpha, bad in [((1.5,), "1.5"), ((0.9, 1.2), "0.9"), ("12", "'1'"), ((2, "5"), "'5'"), ((1, None), "None")]:
+        with pytest.raises(ValueError, match=f"must be integers, got {bad}$"):
+            check_index_vector(alpha, 16)
 
 
 def test_induced_submatrix_examples():

@@ -162,6 +162,9 @@ def test_realize_rejects_bad_vectors():
         realize((0, 8), 3)
     with pytest.raises(ValueError):
         realize((0,), 7)
+    for alpha in [(1.5,), (0.9, 1.2), "12", (None,)]:
+        with pytest.raises(ValueError, match="must be integers"):
+            realize(alpha, 2)
 
 
 def test_embed_size_cap():
@@ -189,6 +192,12 @@ def test_dual_index_examples():
     assert dual_index((0, 1, 3, 12), 4) == (3, 12, 14, 15)
     assert dual_index((1, 2, 4), 3) == (3, 5, 6)
     assert dual_index((), 2) == ()
+
+
+def test_dual_index_refuses_non_integer_entries():
+    for alpha in [(1.5,), "12", (1, None)]:
+        with pytest.raises(ValueError, match="must be integers"):
+            dual_index(alpha, 2)
 
 
 def test_dual_index_is_involution():
