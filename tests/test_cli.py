@@ -412,6 +412,120 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "envcache" / "enumerate-n-3-emit-counts.json").exists()
 
 
+# ---- every command's bytes ----
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+V_JSON = '{"n": 3, "rows": ["100", "110", "101"]}'
+# pm ARGV --format FORMAT with STDIN: exit code, SHA-256 of stdout, SHA-256 of stderr.  Every
+# subcommand in both formats, with its failure paths: invalid and unparsable matrices, a missing
+# file, a file that is not UTF-8, out-of-range sizes, a cut orbit, usage errors.
+GOLDEN = [
+    ("validate -", V_MATRIX, "text", 0, "b7a17ce7b3af22244f7bc4bf360fae6dc5f43b1dee363bb75d01708d3c908d23", EMPTY),
+    ("validate -", V_MATRIX, "json", 0, "20a0e75571e93cc5b026d1ca49ab4c249fe16a1d752c694068c0f7138d4b23fb", EMPTY),
+    ("validate -", V_JSON, "text", 0, "b7a17ce7b3af22244f7bc4bf360fae6dc5f43b1dee363bb75d01708d3c908d23", EMPTY),
+    ("validate -", V_JSON, "json", 0, "20a0e75571e93cc5b026d1ca49ab4c249fe16a1d752c694068c0f7138d4b23fb", EMPTY),
+    ("validate -", CHAIN_BAD, "text", 1, EMPTY, "6266596ba7191b01656015e0e4a518e48a1f1ef3a056a70e2b8e7fa0ae7cfde0"),
+    ("validate -", CHAIN_BAD, "json", 1, "c662026624d23fa7d474ef35bedc55f69efd8464f41bd59e99a0250bf97be466", EMPTY),
+    ("validate -", "110\n010\n001\n", "text", 1, EMPTY, "d626aa53f44a5b6bc1d704049837aefca83cd57a8303bb09fd6099813ddf93c2"),
+    ("validate -", "110\n010\n001\n", "json", 1, "c19a50fa7d9891bc20621173cfcbaf37546f4eeecbf63e273b08cbaea52e9bd6", EMPTY),
+    ("validate -", "10\n1\n", "text", 1, EMPTY, "5030ccbc4554b28f766f9630aca16e66d3259e135dfb9cc47493850f88fd6056"),
+    ("validate -", "10\n1\n", "json", 1, "c0585a0bd0a4e2e923f2fe2321fcee99eca88b9968b7064e032ab8706507ea87", EMPTY),
+    ("validate -", "1x\n01\n", "text", 1, EMPTY, "b66ee0b7d1d9798d0838620a46c815658fdb87ef4eb50332129dfdcb514ed94d"),
+    ("validate -", "1x\n01\n", "json", 1, "467a4a829a8a610fb0f4e6635d379391e24a7155b2c7b8af2310017a66750bc8", EMPTY),
+    ("validate -", "{\"n\": 2", "text", 1, EMPTY, "992c7175b6a7f96a186887ee2ff388253f7154317e5998b3108d372f50980c47"),
+    ("validate -", "{\"n\": 2", "json", 1, "7c4f45737164069fb439cb53f1bee38a234557269a1075b39ccac6c61502b4f3", EMPTY),
+    ("validate no-such-matrix.txt", "", "text", 3, EMPTY, "4aa969a78ef235e1edf4de484a4a1bf8c7194a5d0cd6cc55427157bfe478d14c"),
+    ("validate no-such-matrix.txt", "", "json", 3, EMPTY, "4aa969a78ef235e1edf4de484a4a1bf8c7194a5d0cd6cc55427157bfe478d14c"),
+    ("validate not-utf8.txt", "", "text", 1, EMPTY, "06243d5c91c064d9fafdca946086735af4a3f0454decee8482d27baec4b5f628"),
+    ("validate not-utf8.txt", "", "json", 1, EMPTY, "06243d5c91c064d9fafdca946086735af4a3f0454decee8482d27baec4b5f628"),
+    ("embed -", V_MATRIX, "text", 0, "4e8e0dc710c17723fa04728e3d5328ed5d74906d84f362cb3aa7c454066bd3c9", EMPTY),
+    ("embed -", V_MATRIX, "json", 0, "382fd7a50a170a3bd1aece37eb38a671377ffa66559e1330911a86432b6d3a13", EMPTY),
+    ("embed -", CHAIN_BAD, "text", 1, EMPTY, "6266596ba7191b01656015e0e4a518e48a1f1ef3a056a70e2b8e7fa0ae7cfde0"),
+    ("embed -", CHAIN_BAD, "json", 1, EMPTY, "6266596ba7191b01656015e0e4a518e48a1f1ef3a056a70e2b8e7fa0ae7cfde0"),
+    ("induce --n 4 --alpha 2,5,9,13", "", "text", 0, "69df14a4d762c544ef71753d2c2100c41d55f0a6f968882811b5596a5c3796e8", EMPTY),
+    ("induce --n 4 --alpha 2,5,9,13", "", "json", 0, "75bd15b02ea13b823f0e202345171b65b83ddccc2521ae4fc0e813e1b331663e", EMPTY),
+    ("induce --n 99 --alpha 1", "", "text", 1, EMPTY, "4153884652ef4cfd4d740151320c1909752ab2f59b154fb32d306be90d360685"),
+    ("induce --n 99 --alpha 1", "", "json", 1, EMPTY, "4153884652ef4cfd4d740151320c1909752ab2f59b154fb32d306be90d360685"),
+    ("dual -", V_MATRIX, "text", 0, "3e8aad8b5d5acc1df3728e4756b88c7b23b4ec0a2d8f425f78a48296307ecb54", EMPTY),
+    ("dual -", V_MATRIX, "json", 0, "4b6d2d21907a68857f3dfab3bb4ed1856ddd8e511cd0228babada112eb8fc5c3", EMPTY),
+    ("dual -", "1x\n", "text", 1, EMPTY, "4ff569c9da9bd91003f97c239912818ec9dbe6d71a24b24e2cbcbd49cd9bc4e7"),
+    ("dual -", "1x\n", "json", 1, EMPTY, "4ff569c9da9bd91003f97c239912818ec9dbe6d71a24b24e2cbcbd49cd9bc4e7"),
+    ("dual-index --n 4 --alpha 2,5,9,13", "", "text", 0, "5c6ec49d49e6815f6cacbb852ea5e915e7ffa5e7f579f157a3077ea0edde9c35", EMPTY),
+    ("dual-index --n 4 --alpha 2,5,9,13", "", "json", 0, "7d383faa1c76c3202fca93317ed82656c84e183b8811aec9362bb3b009ca3c2f", EMPTY),
+    ("dual-index --n 2 --alpha 3,1", "", "text", 1, EMPTY, "ecea8293c3ba41c9f1bffc8344f881c2753ce37a75ce0ba092718f2376faac32"),
+    ("dual-index --n 2 --alpha 3,1", "", "json", 1, EMPTY, "ecea8293c3ba41c9f1bffc8344f881c2753ce37a75ce0ba092718f2376faac32"),
+    ("enumerate --n 0", "", "text", 0, "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b", EMPTY),
+    ("enumerate --n 0", "", "json", 0, "fb66304039248360e119421ba2f1e3ca807d01e27a11becb3e8b7b486dcc92a8", EMPTY),
+    ("enumerate --n 4", "", "text", 0, "f844872b776b5fab52bee72af13336a689c800d92f159d8c1ea20192d94edd0b", EMPTY),
+    ("enumerate --n 4", "", "json", 0, "b4c503e763849f8421542352102c3b535d601d4ce8b8d047e50e75a41fabe77a", EMPTY),
+    ("enumerate --n 9", "", "text", 1, EMPTY, "5906cd8adcc246657783039de12f3caeb4bf4aacc7ea58b6adb1c168cbb08ad5"),
+    ("enumerate --n 9", "", "json", 1, EMPTY, "5906cd8adcc246657783039de12f3caeb4bf4aacc7ea58b6adb1c168cbb08ad5"),
+    ("enumerate --n 0 --emit canonical", "", "text", 0, "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b", EMPTY),
+    ("enumerate --n 0 --emit canonical", "", "json", 0, "7df1c797771b818b9cc751141f950a98935880df7bdc4305e2aa2ff73c5a6ba5", EMPTY),
+    ("enumerate --n 4 --emit canonical", "", "text", 0, "2fd66988386836d39684e5c205c3d9a6c776f97c911d5e0a263b126756fffd93", EMPTY),
+    ("enumerate --n 4 --emit canonical", "", "json", 0, "8a7c558f530758022ea1b799071f5f876184a7ee593ddd9bd6284223056475d0", EMPTY),
+    ("enumerate --n 0 --emit counts", "", "text", 0, "4f11c23212723c842ca042a788ee59a877880ac7eeb31370291b782a8e430d23", EMPTY),
+    ("enumerate --n 0 --emit counts", "", "json", 0, "91ebfb7184b087a3f0c08f3e871f471c46dee8c76e6fe1ec42dc277908ed13fd", EMPTY),
+    ("enumerate --n 5 --emit counts", "", "text", 0, "8183f9423a4678bbc6282857de0375195a1af1a460d79664291a3fc489d1c6bf", EMPTY),
+    ("enumerate --n 5 --emit counts", "", "json", 0, "1e7dfa884b6f1e32084114b597f41e6698193d4c1af113bae24c7abe73ee394b", EMPTY),
+    ("enumerate --n 10 --emit counts", "", "text", 1, EMPTY, "e28be9ed7f5b73e1a88e8b3f49e5ce60c5e927a3f6ee9fedfc48119e1bfb5fbb"),
+    ("enumerate --n 10 --emit counts", "", "json", 1, EMPTY, "e28be9ed7f5b73e1a88e8b3f49e5ce60c5e927a3f6ee9fedfc48119e1bfb5fbb"),
+    ("enumerate", "", "text", 2, EMPTY, "178e8f913bd9e4218142329a9b2f47b86391cb178cc86a73111da8ef51f0f91c"),
+    ("enumerate", "", "json", 2, EMPTY, "178e8f913bd9e4218142329a9b2f47b86391cb178cc86a73111da8ef51f0f91c"),
+    ("canonical -", V_MATRIX, "text", 0, "0a5112d06fecaeaea7658f7c36a92e6a9f3090b98937e766c1a6010361759d1b", EMPTY),
+    ("canonical -", V_MATRIX, "json", 0, "c3bdeee5db7b1edf1235281004c2bf675f917bcafa3197097e44508217f57402", EMPTY),
+    ("canonical -", "", "text", 0, "cd14a4af43f0eb320871262a17998fcb4ac28845fcf8981c44f1252fa5733ec2", EMPTY),
+    ("canonical -", "", "json", 0, "3b6c9fb64a16ba60e6b7756dd4b39114128a11ec864c3f9d532b52d038041198", EMPTY),
+    ("canonical -", CHAIN_BAD, "text", 1, EMPTY, "6266596ba7191b01656015e0e4a518e48a1f1ef3a056a70e2b8e7fa0ae7cfde0"),
+    ("canonical -", CHAIN_BAD, "json", 1, EMPTY, "6266596ba7191b01656015e0e4a518e48a1f1ef3a056a70e2b8e7fa0ae7cfde0"),
+    ("orbit --n 4 --alpha 2,5,9,13", "", "text", 0, "ff12da9fe5d4266a3d1d6d9eb45e360792baace941423c8072530b4f38e3908c", EMPTY),
+    ("orbit --n 4 --alpha 2,5,9,13", "", "json", 0, "3fcf40d1be47ee0d3173842b972239da4bc5d3d943a8fcfe81953c63a6e22f27", EMPTY),
+    ("orbit --n 4 --alpha 1,2,4,8 --method exhaustive", "", "text", 0, "e6bbf848578d6ebea8974e9db340588ce0b778582f69a6b241e3512430db9da5", EMPTY),
+    ("orbit --n 4 --alpha 1,2,4,8 --method exhaustive", "", "json", 0, "de9f41c9919c602701e4f98108e4a4f131728e6696228374c34da90d850e6e6b", EMPTY),
+    ("orbit --n 4 --alpha 2,5,9,13 --budget 3", "", "text", 0, "9f47dabeadcd78557ecefa4f2960956808eebea8ab8aa4dac57c5035432d7451", "9124f8d6ef85ad4633bfd8776dc78d49d67c838b5b6c3f1a8c81097eb84803e6"),
+    ("orbit --n 4 --alpha 2,5,9,13 --budget 3", "", "json", 0, "011bfbccc9696f83e0ab0123ae3db716a0326ff81ce23b02afb6c52011077c27", EMPTY),
+    ("orbit --n -1 --alpha 1,2", "", "text", 1, EMPTY, "2d0f6d3f84c2c105bb6e7d0849547201dddf5f4687ca69c1ed655274e8989364"),
+    ("orbit --n -1 --alpha 1,2", "", "json", 1, EMPTY, "2d0f6d3f84c2c105bb6e7d0849547201dddf5f4687ca69c1ed655274e8989364"),
+    ("ideals --n 5", "", "text", 0, "25d4f2a86deb5e2574bb3210b67bb24fcc4afb19f93a7b65a057daa874a9d18e", EMPTY),
+    ("ideals --n 5", "", "json", 0, "08d65e2f4bf71e0abaf9588163efe376c692b409f501778a3bc8889a95e3b5bd", EMPTY),
+    ("ideals --n 12 --check-fixed-points", "", "text", 0, "4b9258d432ecb4511cfe5471a58f3feea9e8aa513e1d32294894693827d3b0d4", EMPTY),
+    ("ideals --n 12 --check-fixed-points", "", "json", 0, "48fb651a788fb05a4c269a7cad79e048a2386dc39010e96a47433cf55d2ee302", EMPTY),
+    ("ideals --n 0 --list", "", "text", 0, "4c34c68b473313c6b300fef8294da1bca642e708be77203c5ac60ba25e89e1eb", EMPTY),
+    ("ideals --n 0 --list", "", "json", 0, "6142d76f50f4401d101224e559d793309c63d9fa169ffa35931e965bedd8e0d1", EMPTY),
+    ("ideals --n 5 --list", "", "text", 0, "66dce1a86004a92d16c86a31005c575d16894ea54637ca7abace9889391e4553", EMPTY),
+    ("ideals --n 5 --list", "", "json", 0, "7106075d918139bfd62a36ef3e891f883c3d9c236c5e8a1bd4612f2a94c7d786", EMPTY),
+    ("ideals --n 99", "", "text", 1, EMPTY, "a2e4d5bde55b8875a9f194e8b44437c28d887b778bad53105f6ea9f2ce174c28"),
+    ("ideals --n 99", "", "json", 1, EMPTY, "a2e4d5bde55b8875a9f194e8b44437c28d887b778bad53105f6ea9f2ce174c28"),
+    ("ideals --n 5 --jobs 0", "", "text", 2, EMPTY, "5e8a1af8385aef47ab0dddd1c5b439de7087d660b2d792fde651e0c21517716e"),
+    ("ideals --n 5 --jobs 0", "", "json", 2, EMPTY, "5e8a1af8385aef47ab0dddd1c5b439de7087d660b2d792fde651e0c21517716e"),
+    ("dedekind --k 3", "", "text", 0, "5378796307535df3ec8d8b15a2e2dc5641419c3d3060cfe32238c0fa973f7aa3", EMPTY),
+    ("dedekind --k 3", "", "json", 0, "0134a10865c72538e18c63b4d71c403d93d401d34b1879809f37588f4dd166d1", EMPTY),
+    ("dedekind --k 9", "", "text", 1, EMPTY, "d5988acfc9a116f7587f00b17ed33857c7fd0ec9bcad6dff811291e55ea33996"),
+    ("dedekind --k 9", "", "json", 1, EMPTY, "d5988acfc9a116f7587f00b17ed33857c7fd0ec9bcad6dff811291e55ea33996"),
+    ("selftest", "", "text", 0, "bc71edeb94b8f9beb597a743b2ac9948fee9e172494c24f53a1642a1a39a2e4e", EMPTY),
+    ("selftest", "", "json", 0, "0a4d1b8eba9436b874761e5d9902b43939b7471b37a1466f1282dc961efe7942", EMPTY),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, fmt, code, out_sha, err_sha", GOLDEN, ids=[f"{i // 2:02d} {row[0]} {row[2]}" for i, row in enumerate(GOLDEN)]
+)
+def test_output_bytes_are_pinned(capsys, monkeypatch, tmp_path, argv, stdin, fmt, code, out_sha, err_sha):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage errors to the terminal width
+    monkeypatch.delenv("PM_CACHE_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)  # where no-such-matrix.txt is missing
+    (tmp_path / "not-utf8.txt").write_bytes(b"1\xff\n")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    try:
+        got = main(argv.split() + ["--format", fmt])
+    except SystemExit as exc:
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code, out + err
+    assert hashlib.sha256(out.encode()).hexdigest() == out_sha, out
+    assert hashlib.sha256(err.encode()).hexdigest() == err_sha, err
+
+
 # ---- process-level behaviour ----
 
 
