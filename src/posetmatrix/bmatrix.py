@@ -8,7 +8,7 @@ the set bits of each row of the left one.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Iterable, Iterator, Sequence
 
 MAX_SIDE = 64
@@ -34,6 +34,17 @@ def _row_text(row: int, n: int) -> str:
     the guard keeps n = 0 empty.
     """
     return bin(row | 1 << n)[:2:-1]
+
+
+def _integer_entries(values: Iterable[int], what: str = "index vector entries") -> tuple[int, ...]:
+    """values as a tuple of ints; an entry that is not an integer (a float, a str, None) raises ValueError."""
+    entries = []
+    for a in values:
+        try:
+            entries.append(index(a))
+        except TypeError:
+            raise ValueError(f"{what} must be integers, got {a!r}") from None
+    return tuple(entries)
 
 
 class _Value:
@@ -80,7 +91,7 @@ class BoolMatrix(_Value):
     def __init__(self, n: int, rows: Iterable[int]) -> None:
         if not 0 <= n <= MAX_SIDE:
             raise ValueError(f"matrix side must be in [0, {MAX_SIDE}], got {n}")
-        rows = tuple(rows)
+        rows = _integer_entries(rows, "matrix rows")
         if len(rows) != n:
             raise NotSquareError(f"expected {n} rows, got {len(rows)}")
         top = (1 << n) - 1
@@ -180,7 +191,7 @@ class Permutation(_Value):
     __slots__ = ("mapping",)
 
     def __init__(self, mapping: Iterable[int]) -> None:
-        mapping = tuple(mapping)
+        mapping = _integer_entries(mapping, "permutation entries")
         if sorted(mapping) != list(range(len(mapping))):
             raise ValueError(f"not a bijection on 0..{len(mapping) - 1}: {mapping}")
         self._set(mapping)

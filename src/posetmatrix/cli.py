@@ -48,17 +48,27 @@ def _parse_matrix(text: str):
     return BoolMatrix.from_text(text)
 
 
-def _emit_json(obj) -> None:
-    import json
+def _read_poset(args):
+    """The poset matrix in args.source (a file, or - for stdin), as text or JSON."""
+    from .posetcore import validate
 
-    print(json.dumps(obj, indent=2))
+    return validate(_parse_matrix(_read_source(args.source)))
+
+
+def _emit(args, obj, text) -> None:
+    """Print obj as indented JSON under --format json, and text otherwise."""
+    if args.format == "json":
+        import json
+
+        text = json.dumps(obj, indent=2)
+    print(text)
 
 
 def _write_records(n: int, field: str, groups, json_format: bool) -> None:
     """Write the side-n matrices of (prefix rows, last-row down-sets) groups as one list.
 
-    The text is that of _emit_json({"n": n, field: [to_json_obj(), ...]})
-    for JSON, and of to_text() with a blank line between records for text.
+    The text is what _emit prints for {"n": n, field: [to_json_obj(), ...]}
+    in JSON, and that of to_text() with a blank line between records in text.
     Records in a group differ only in their last row, so a group is its
     prefix's text, joined to each last row's text: one join per prefix,
     from a table of the 2**n row strings.  At n = 0 the one record is the
@@ -126,34 +136,25 @@ def _failure_obj(exc: Exception) -> dict:
 
 
 def _cmd_validate(args) -> int:
-    from .posetcore import validate
-
-    text = _read_source(args.source)
     try:
-        a = validate(_parse_matrix(text))
+        a = _read_poset(args)
     except ValueError as exc:
-        if args.format == "json":
-            _emit_json({"valid": False, "error": _failure_obj(exc)})
-        else:
-            print(f"pm: {exc}", file=sys.stderr)
+        # main prints the text failure; a file that is not UTF-8 is unread input, not an invalid matrix
+        if args.format == "text" or isinstance(exc, UnicodeDecodeError):
+            raise
+        _emit(args, {"valid": False, "error": _failure_obj(exc)}, None)
         return 1
-    if args.format == "json":
-        _emit_json({"valid": True, "n": a.n})
-    else:
-        print(f"valid poset matrix (n={a.n})")
+    _emit(args, {"valid": True, "n": a.n}, f"valid poset matrix (n={a.n})")
     return 0
 
 
 def _cmd_embed(args) -> int:
     from .bmatrix import format_index_vector
-    from .posetcore import embed, validate
+    from .posetcore import embed
 
-    a = validate(_parse_matrix(_read_source(args.source)))
+    a = _read_poset(args)
     alpha = embed(a)
-    if args.format == "json":
-        _emit_json({"n": a.n, "alpha": list(alpha), "universe": 1 << a.n})
-    else:
-        print(format_index_vector(alpha))
+    _emit(args, {"n": a.n, "alpha": list(alpha), "universe": 1 << a.n}, format_index_vector(alpha))
     return 0
 
 
@@ -165,22 +166,15 @@ def _cmd_induce(args) -> int:
     size = 1 << _check_ambient(args.n)
     alpha = check_index_vector(parse_index_vector(args.alpha), size)
     sub = induced_submatrix(pascal_matrix(size), alpha)
-    if args.format == "json":
-        _emit_json(sub.to_json_obj())
-    else:
-        print(sub.to_text())
+    _emit(args, sub.to_json_obj(), sub.to_text())
     return 0
 
 
 def _cmd_dual(args) -> int:
-    from .posetcore import dual, validate
+    from .posetcore import dual
 
-    a = validate(_parse_matrix(_read_source(args.source)))
-    b = dual(a)
-    if args.format == "json":
-        _emit_json(b.matrix.to_json_obj())
-    else:
-        print(b.matrix.to_text())
+    b = dual(_read_poset(args)).matrix
+    _emit(args, b.to_json_obj(), b.to_text())
     return 0
 
 
@@ -190,10 +184,7 @@ def _cmd_dual_index(args) -> int:
 
     alpha = parse_index_vector(args.alpha)
     beta = dual_index(alpha, args.n)
-    if args.format == "json":
-        _emit_json({"alpha": list(alpha), "n": args.n, "dual": list(beta)})
-    else:
-        print(format_index_vector(beta))
+    _emit(args, {"alpha": list(alpha), "n": args.n, "dual": list(beta)}, format_index_vector(beta))
     return 0
 
 
@@ -218,11 +209,8 @@ def _cmd_enumerate(args) -> int:
                 "isomorphism_classes": count_isomorphism_classes(n),
             },
         )
-        if args.format == "json":
-            _emit_json({"n": n, **value})
-        else:
-            print(f"poset matrices: {value['poset_matrices']}")
-            print(f"isomorphism classes: {value['isomorphism_classes']}")
+        text = f"poset matrices: {value['poset_matrices']}\nisomorphism classes: {value['isomorphism_classes']}"
+        _emit(args, {"n": n, **value}, text)
         return 0
     canonical = args.emit == "canonical"
     if not 0 <= n <= MAX_ENUM_SIDE:
@@ -235,15 +223,10 @@ def _cmd_enumerate(args) -> int:
 def _cmd_canonical(args) -> int:
     from .bmatrix import format_index_vector
     from .enumeration import canonical_labelling
-    from .posetcore import validate
 
-    a = validate(_parse_matrix(_read_source(args.source)))
-    canon, witness = canonical_labelling(a)
-    if args.format == "json":
-        _emit_json({"canonical": canon.matrix.to_json_obj(), "witness": list(witness.mapping)})
-    else:
-        print(canon.matrix.to_text())
-        print(f"witness: {format_index_vector(witness.mapping)}")
+    canon, witness = canonical_labelling(_read_poset(args))
+    obj = {"canonical": canon.matrix.to_json_obj(), "witness": list(witness.mapping)}
+    _emit(args, obj, f"{canon.matrix.to_text()}\nwitness: {format_index_vector(witness.mapping)}")
     return 0
 
 
@@ -260,15 +243,15 @@ def _cmd_orbit(args) -> int:
         members = pascal_class(alpha, args.n)
         result = OrbitResult(alpha, args.n, members, True, math.comb(1 << args.n, args.n))
     if args.format == "json":
-        _emit_json(result.to_json_obj())
-    else:
-        for member in result.members:
-            print(format_index_vector(member))
-        if not result.exhausted:
-            print(
-                f"pm: warning: budget hit after {result.states_visited} states; orbit may be incomplete",
-                file=sys.stderr,
-            )
+        _emit(args, result.to_json_obj(), None)
+        return 0
+    for member in result.members:  # one line at a time: the n = 6 orbit has 759 k members
+        print(format_index_vector(member))
+    if not result.exhausted:
+        print(
+            f"pm: warning: budget hit after {result.states_visited} states; orbit may be incomplete",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -277,32 +260,22 @@ def _cmd_ideals(args) -> int:
 
     n = args.n
     if args.list_triples:
-        records = [{"antichain": list(a), "ideal": list(i), "fixed_point": f} for a, i, f in antichain_table(n)]
-        if args.format == "json":
-            _emit_json({"n": n, "count": len(records), "ideals": records})
-        else:
-            import json
+        import json
 
-            for record in records:
-                print(json.dumps(record))
+        records = [{"antichain": list(a), "ideal": list(i), "fixed_point": f} for a, i, f in antichain_table(n)]
+        _emit(args, {"n": n, "count": len(records), "ideals": records}, "\n".join(map(json.dumps, records)))
         return 0
     count = count_ideals(n)
-    scanned = None
+    obj = {"n": n, "count": count}
     if args.check_fixed_points:
-        scanned = count_fixed_points(n)
+        obj["fixed_point_count"] = scanned = count_fixed_points(n)
         if scanned != count:
             print(
                 f"pm: fixed-point scan found {scanned} but the ideal count is {count}",
                 file=sys.stderr,
             )
             return 1
-    if args.format == "json":
-        obj = {"n": n, "count": count}
-        if scanned is not None:
-            obj["fixed_point_count"] = scanned
-        _emit_json(obj)
-    else:
-        print(count)
+    _emit(args, obj, str(count))
     return 0
 
 
@@ -310,10 +283,7 @@ def _cmd_dedekind(args) -> int:
     from .ideals import dedekind
 
     value = dedekind(args.k)
-    if args.format == "json":
-        _emit_json({"k": args.k, "ground_size": 1 << args.k, "count": value})
-    else:
-        print(value)
+    _emit(args, {"k": args.k, "ground_size": 1 << args.k, "count": value}, str(value))
     return 0
 
 
@@ -322,18 +292,11 @@ def _cmd_selftest(args) -> int:
 
     results = refdata.run_selftest()
     ok_all = all(ok for _, ok, _ in results)
-    if args.format == "json":
-        _emit_json(
-            {
-                "ok": ok_all,
-                "checks": [{"id": cid, "ok": ok, "detail": detail} for cid, ok, detail in results],
-            }
-        )
-    else:
-        for cid, ok, detail in results:
-            print(f"{'ok   ' if ok else 'FAIL '}{cid}: {detail}")
-        passed = sum(1 for _, ok, _ in results if ok)
-        print(f"selftest: {passed}/{len(results)} checks passed")
+    passed = sum(1 for _, ok, _ in results if ok)
+    checks = [{"id": cid, "ok": ok, "detail": detail} for cid, ok, detail in results]
+    lines = [f"{'ok   ' if ok else 'FAIL '}{cid}: {detail}" for cid, ok, detail in results]
+    lines.append(f"selftest: {passed}/{len(results)} checks passed")
+    _emit(args, {"ok": ok_all, "checks": checks}, "\n".join(lines))
     return 0 if ok_all else 1
 
 
@@ -350,16 +313,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _common_flags(sub: argparse.ArgumentParser, cached: bool = False) -> None:
-    sub.add_argument("--format", choices=("text", "json"), default="text", help="output format")
-    if not cached:  # --jobs and --cache-dir belong to enumerate and ideals
-        return
-    sub.add_argument("--jobs", type=_positive_int, default=1, help="accepted and ignored (N >= 1); every command runs in one process")
-    sub.add_argument(
-        "--cache-dir",
-        default=None,
-        help="directory for memoized enumerate --emit counts results (falls back to $PM_CACHE_DIR); ideals ignores it",
-    )
+def _subcommand(subs, name: str, help: str, handler, source: bool = False) -> argparse.ArgumentParser:
+    """Add subcommand name running handler; source adds the matrix file positional."""
+    p = subs.add_parser(name, help=help)
+    if source:
+        p.add_argument("source", metavar="file|-", help="matrix file (text or JSON), or - for stdin")
+    p.set_defaults(handler=handler)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,34 +330,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pm {__version__}")
     subs = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = subs.add_parser("validate", help="check that a Boolean matrix is a poset matrix")
-    p.add_argument("source", metavar="file|-", help="matrix file (text or JSON), or - for stdin")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_validate)
+    _subcommand(subs, "validate", "check that a Boolean matrix is a poset matrix", _cmd_validate, source=True)
+    _subcommand(subs, "embed", "index vector of a poset matrix inside the 2**n Pascal matrix", _cmd_embed, source=True)
 
-    p = subs.add_parser("embed", help="index vector of a poset matrix inside the 2**n Pascal matrix")
-    p.add_argument("source", metavar="file|-", help="matrix file (text or JSON), or - for stdin")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_embed)
-
-    p = subs.add_parser("induce", help="principal submatrix of the 2**n Pascal matrix at --alpha")
+    p = _subcommand(subs, "induce", "principal submatrix of the 2**n Pascal matrix at --alpha", _cmd_induce)
     p.add_argument("--n", type=int, required=True, help="ambient exponent: the Pascal matrix has side 2**n")
     p.add_argument("--alpha", required=True, help="comma-separated index vector, e.g. 2,5,9,13")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_induce)
 
-    p = subs.add_parser("dual", help="matrix of the dual poset (anti-diagonal reflection)")
-    p.add_argument("source", metavar="file|-", help="matrix file (text or JSON), or - for stdin")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_dual)
+    _subcommand(subs, "dual", "matrix of the dual poset (anti-diagonal reflection)", _cmd_dual, source=True)
 
-    p = subs.add_parser("dual-index", help="dual of an index vector: complement against 2**n - 1 and reverse")
+    p = _subcommand(
+        subs, "dual-index", "dual of an index vector: complement against 2**n - 1 and reverse", _cmd_dual_index
+    )
     p.add_argument("--n", type=int, required=True, help="ambient exponent")
     p.add_argument("--alpha", required=True, help="comma-separated index vector")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_dual_index)
 
-    p = subs.add_parser("enumerate", help="all n x n poset matrices, their canonical forms, or counts")
+    p = _subcommand(subs, "enumerate", "all n x n poset matrices, their canonical forms, or counts", _cmd_enumerate)
     p.add_argument("--n", type=int, required=True, help="matrix side")
     p.add_argument(
         "--emit",
@@ -405,15 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="matrices",
         help="what to print (default: matrices)",
     )
-    _common_flags(p, cached=True)
-    p.set_defaults(handler=_cmd_enumerate)
 
-    p = subs.add_parser("canonical", help="canonical form of a poset matrix plus a witness relabelling")
-    p.add_argument("source", metavar="file|-", help="matrix file (text or JSON), or - for stdin")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_canonical)
+    _subcommand(
+        subs, "canonical", "canonical form of a poset matrix plus a witness relabelling", _cmd_canonical, source=True
+    )
 
-    p = subs.add_parser("orbit", help="vectors reachable from --alpha, or its whole equivalence class")
+    p = _subcommand(subs, "orbit", "vectors reachable from --alpha, or its whole equivalence class", _cmd_orbit)
     p.add_argument("--n", type=int, required=True, help="ambient exponent; alpha has n entries below 2**n")
     p.add_argument("--alpha", required=True, help="comma-separated index vector")
     p.add_argument(
@@ -428,10 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_ORBIT_BUDGET,
         help=f"max states to expand before flagging the result partial (default {DEFAULT_ORBIT_BUDGET})",
     )
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_orbit)
 
-    p = subs.add_parser("ideals", help="count (or list) the order ideals of the size-n Pascal poset")
+    p = _subcommand(subs, "ideals", "count (or list) the order ideals of the size-n Pascal poset", _cmd_ideals)
     p.add_argument("--n", type=int, required=True, help="ground-set size")
     p.add_argument("--list", action="store_true", dest="list_triples", help="list antichain/ideal/fixed-point triples")
     p.add_argument(
@@ -439,17 +382,23 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check the count against the exhaustive fixed-point scan",
     )
-    _common_flags(p, cached=True)
-    p.set_defaults(handler=_cmd_ideals)
 
-    p = subs.add_parser("dedekind", help="Dedekind number: antichains of the subsets of a k-element set")
+    p = _subcommand(subs, "dedekind", "Dedekind number: antichains of the subsets of a k-element set", _cmd_dedekind)
     p.add_argument("--k", type=int, required=True, help="number of generators (0..7)")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_dedekind)
 
-    p = subs.add_parser("selftest", help="replay the bundled reference expectations")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_selftest)
+    _subcommand(subs, "selftest", "replay the bundled reference expectations", _cmd_selftest)
+
+    # the shared flags, added last so that each command's --help lists them after its own
+    for name, p in subs.choices.items():
+        p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
+        if name not in ("enumerate", "ideals"):  # --jobs and --cache-dir belong to enumerate and ideals
+            continue
+        p.add_argument("--jobs", type=_positive_int, default=1, help="accepted and ignored (N >= 1); every command runs in one process")
+        p.add_argument(
+            "--cache-dir",
+            default=None,
+            help="directory for memoized enumerate --emit counts results (falls back to $PM_CACHE_DIR); ideals ignores it",
+        )
 
     return parser
 

@@ -15,8 +15,8 @@ from itertools import permutations
 from typing import Sequence
 
 from . import DEFAULT_ORBIT_BUDGET
-from .bmatrix import BoolMatrix, _Value, iter_bits, permute  # permute is re-exported
-from .pascal import _integer_entries, _subset_rows
+from .bmatrix import BoolMatrix, _Value, _integer_entries, iter_bits, permute  # permute is re-exported
+from .pascal import _subset_rows
 from .posetcore import PosetMatrix, _check_orbit_vector, validate
 
 

@@ -11,7 +11,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator
 
-from .bmatrix import _row_text, identity, iter_bits
+from .bmatrix import _row_text, identity
 from .pascal import _submask_row, check_index_vector, induced_submatrix, pascal_matrix
 
 MAX_COUNT_GROUND = 32
@@ -90,26 +90,21 @@ def _pred_masks(n: int) -> tuple[int, ...]:
     return tuple(_submask_row(i) ^ (1 << i) for i in range(n))
 
 
-@lru_cache(maxsize=None)
-def _column_masks(n: int) -> tuple[int, ...]:
-    """For each column j of the Pascal matrix, the mask of rows i with a 1 at (i, j)."""
-    cols = [0] * n
-    for i in range(n):
-        for s in iter_bits(_submask_row(i)):
-            cols[s] |= 1 << i
-    return tuple(cols)
-
-
 def is_fixed_point(x: int, n: int) -> bool:
     """True when the characteristic row vector x satisfies x . P = x over the Boolean semiring.
 
-    Coordinate j of x . P is the OR of x over the rows with a 1 in column j;
-    past x's top bit a column holds no row of x, so both coordinates are 0.
+    x . P is the OR of the Pascal rows of x's elements, and each row holds
+    its own element, so x is fixed exactly when no such row has a bit
+    outside x.  The rows are read from the top element down, and the first
+    that leaves x answers; the cost follows x's elements, not its top bit.
     """
     _check_mask(x, n)
-    for j, col in enumerate(_column_masks(x.bit_length())):
-        if bool(x & col) != bool(x >> j & 1):
+    rest = x
+    while rest:
+        i = rest.bit_length() - 1
+        if _submask_row(i) & ~x:
             return False
+        rest ^= 1 << i
     return True
 
 

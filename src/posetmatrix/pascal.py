@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import index
 from typing import Iterable, Sequence
 
-from .bmatrix import MAX_SIDE, BoolMatrix
+from .bmatrix import MAX_SIDE, BoolMatrix, _integer_entries
 
 
 def support(t: int) -> int:
@@ -63,17 +62,6 @@ def support_poset_matrix(n: int) -> BoolMatrix:
                 row |= 1 << j
         rows.append(row)
     return BoolMatrix(n, tuple(rows))
-
-
-def _integer_entries(alpha: Iterable[int]) -> tuple[int, ...]:
-    """alpha as a tuple of ints; an entry that is not an integer (a float, a str, None) raises ValueError."""
-    entries = []
-    for a in alpha:
-        try:
-            entries.append(index(a))
-        except TypeError:
-            raise ValueError(f"index vector entries must be integers, got {a!r}") from None
-    return tuple(entries)
 
 
 def check_index_vector(alpha: Iterable[int], universe: int) -> tuple[int, ...]:

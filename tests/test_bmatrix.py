@@ -88,6 +88,13 @@ def test_row_overflow():
         BoolMatrix(2, (1, 4))
 
 
+@pytest.mark.parametrize("bad", [1.0, "1", None])
+def test_rows_must_be_integers(bad):
+    # 1.0 was stored as is and failed later in validate; "1" and None raised TypeError
+    with pytest.raises(ValueError, match=f"matrix rows must be integers, got {bad!r}$"):
+        BoolMatrix(2, (bad, 3))
+
+
 def test_side_bounds():
     with pytest.raises(ValueError):
         BoolMatrix(65, tuple([0] * 65))
@@ -210,6 +217,13 @@ def test_is_idempotent():
 def test_permutation_rejects_non_bijection():
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))
+
+
+@pytest.mark.parametrize("bad", [1.0, "1", None])
+def test_permutation_entries_must_be_integers(bad):
+    # (1.0, 0) was accepted and permute_similar then raised TypeError
+    with pytest.raises(ValueError, match=f"permutation entries must be integers, got {bad!r}$"):
+        Permutation((bad, 0))
 
 
 def test_permutation_inverse():

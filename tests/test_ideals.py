@@ -266,6 +266,24 @@ def test_count_fixed_points_bounds():
         count_fixed_points(21)
 
 
+def test_fixed_point_of_a_high_element_builds_no_column_table():
+    # x . P = x is read from the rows of x's elements, so one element at 16383 reads one row: a column
+    # per element below the top bit took 11.7 s for it.  principal_ideal(12288) holds four elements.
+    code = (
+        "from posetmatrix.ideals import is_fixed_point, principal_ideal\n"
+        "print(not any(is_fixed_point(1 << k, k + 1) for k in range(16368, 16384)),"
+        " is_fixed_point(principal_ideal(12288, 16384), 16384))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20)),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "True True\n"), proc.stderr
+
+
 # ---- counting ----
 
 
