@@ -13,6 +13,7 @@ hashlib) loads only for `enumerate --emit counts` with a cache directory.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
@@ -25,13 +26,16 @@ class CliIOError(Exception):
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    """The text of a file, or of stdin for -, decoded the same way: strict UTF-8, universal newlines."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
     except OSError as exc:
         raise CliIOError(str(exc)) from exc
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
 
 
 def _parse_matrix(text: str):

@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .bmatrix import BoolMatrix, Permutation, _Value, _row_text
+from .bmatrix import BoolMatrix, Permutation, _Value
 from .posetcore import PosetMatrix, _check_orbit_vector, _dual_entries, realize
 
 MAX_ENUM_SIDE = 8
@@ -44,21 +44,23 @@ def _walk(n: int, canonical: bool = False) -> Iterator[tuple[tuple[int, ...], Se
 
     With canonical, the walk visits canonical forms only: each prefix is
     extended, and yielded, by its _canonical_lasts, which reads the
-    prefix's down-sets itself so that it can be memoized by prefix alone.
-    The carried lists stay those of every down-set, not of the lasts.
+    prefix's down-sets itself so that it can be memoized by prefix alone,
+    so no list is carried and only the prefixes are pushed.
     """
     if n == 0:
         return
     stack = [((), [0])]
     while stack:
         prefix, sets = stack.pop()
-        lasts = _canonical_lasts(prefix) if canonical else sets
+        if canonical:
+            sets = _canonical_lasts(prefix)
         if len(prefix) == n - 1:
-            yield prefix, lasts
+            yield prefix, sets
             continue
         top = 1 << len(prefix)
-        for below in reversed(lasts):
-            stack.append((prefix + (below | top,), sets + [s | top for s in sets if s & below == below]))
+        for below in reversed(sets):
+            child = prefix + (below | top,)
+            stack.append((child, None) if canonical else (child, sets + [s | top for s in sets if s & below == below]))
 
 
 def _poset_rows(n: int) -> Iterator[tuple[int, ...]]:
@@ -92,6 +94,32 @@ for _e in range(MAX_CLASS_SIDE):
     _MEMBERS += [members + (_e,) for members in _MEMBERS]
 
 
+def _blocks(preds: list[int], succ_lists: list[list[int]]) -> tuple[list[int], list[list[int]], int]:
+    """Blocker masks, unblock lists and the initial ready mask of a search over position assignments.
+
+    An element is blocked by its predecessors and by its smaller twins
+    (elements with equal predecessor and successor sets), and a position
+    can take it once its blockers are placed; unblocks[e] lists the
+    elements e may be the last to block.  Twins are interchangeable:
+    swapping two unplaced twins is an automorphism fixing every placed
+    element, so a twin's subtree repeats, key for key, that of the smaller
+    twin, and blocking it drops no key sequence.  Twins are placed in
+    element order, so the largest smaller twin is the last to block one.
+    """
+    blockers = preds[:]
+    unblocks = succ_lists[:]  # a list is copied only where a twin is added
+    twins_so_far: dict[tuple[int, ...], int] = {}
+    for e, pred in enumerate(preds):
+        key = (pred, *succ_lists[e])
+        twins = twins_so_far.get(key, 0)
+        if twins:
+            blockers[e] |= twins
+            last = twins.bit_length() - 1
+            unblocks[last] = unblocks[last] + [e]
+        twins_so_far[key] = twins | 1 << e
+    return blockers, unblocks, sum(1 << e for e, block in enumerate(blockers) if not block)
+
+
 def _canonical_rows(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Least relabelling of a poset-matrix row tuple, with the old->new witness map.
 
@@ -107,14 +135,10 @@ def _canonical_rows(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, 
     on return.  So is the ready mask: placing e makes ready those it was
     the last to block.
 
-    Twins (elements with equal predecessor and successor masks) are
-    interchangeable: swapping two unplaced twins is an automorphism fixing
-    every placed element, so a twin's subtree repeats, key for key, that of
-    the smaller twin, which is searched earlier.  A candidate is therefore
-    blocked while a smaller twin is unplaced; twins are placed in element
-    order, so the largest smaller twin is the last to block it.  The first
-    minimal leaf, and with it the form and the witness, stay the same.  The
-    rows are built once, from that leaf's order.
+    Twins are blocked by _blocks: a blocked twin's subtree repeats that of
+    the smaller twin, which is searched earlier, so the first minimal leaf,
+    and with it the form and the witness, stay the same.  The rows are
+    built once, from that leaf's order.
     """
     n = len(rows)
     if n == 0:
@@ -122,16 +146,7 @@ def _canonical_rows(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, 
     bits = [1 << e for e in range(n)]
     preds = [rows[e] ^ bits[e] for e in range(n)]
     succ_lists = [[i for i in range(j + 1, n) if preds[i] & bits[j]] for j in range(n)]
-    blockers = preds[:]  # predecessors and smaller twins: all are placed first
-    unblocks = [list(succ) for succ in succ_lists]  # the elements e may be the last to block
-    twins_so_far: dict[tuple[int, ...], int] = {}
-    for e in range(n):
-        key = (preds[e], *succ_lists[e])
-        twins = twins_so_far.get(key, 0)
-        if twins:
-            blockers[e] |= twins
-            unblocks[twins.bit_length() - 1].append(e)
-        twins_so_far[key] = twins | bits[e]
+    blockers, unblocks, ready = _blocks(preds, succ_lists)
     keys = [0] * n
     order: list[int] = []
     best_order: list[int] = []
@@ -173,7 +188,7 @@ def _canonical_rows(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, 
                 keys[s] ^= bit
         return found
 
-    walk(0, 0, sum(bits[e] for e in range(n) if not blockers[e]), False)  # the first leaf is taken
+    walk(0, 0, ready, False)  # the first leaf is taken
     mapping = [0] * n
     for pos, element in enumerate(best_order):
         mapping[element] = pos
@@ -182,6 +197,50 @@ def _canonical_rows(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, 
         for s in succ_lists[e]:
             new_rows[mapping[s]] |= 1 << mapping[e]
     return tuple(new_rows), tuple(mapping)
+
+
+def _is_least(preds: list[int], succ_lists: list[list[int]], keys: list[int]) -> bool:
+    """Whether the identity labelling is the least relabelling of a poset, given each element's row key.
+
+    A bounded form of _canonical_rows's search, with the identity as the
+    incumbent from the root: keys[k] is element k's key, so the
+    incumbent's key at depth k.  Only orders whose keys so far equal the
+    incumbent's are walked, branching on the ready elements whose carried
+    key ties keys[k]; a ready element with a smaller key answers False at
+    once, since every linear extension through it is a smaller
+    relabelling.  Twins are blocked as there, which drops no key sequence.
+    """
+    last = len(preds) - 1
+    blockers, unblocks, ready = _blocks(preds, succ_lists)
+    carried = [0] * len(preds)
+
+    def walk(k: int, placed: int, ready: int) -> bool:
+        want = keys[k]
+        members = _MEMBERS[ready]
+        for e in members:
+            if carried[e] < want:
+                return False
+        if k == last:
+            return True
+        bit = 1 << (last - k)
+        for e in members:
+            if carried[e] != want:
+                continue
+            child_placed = placed | 1 << e
+            child_ready = ready ^ 1 << e
+            for s in unblocks[e]:
+                if not blockers[s] & ~child_placed:
+                    child_ready |= 1 << s
+            for s in succ_lists[e]:
+                carried[s] |= bit
+            least = walk(k + 1, child_placed, child_ready)
+            for s in succ_lists[e]:
+                carried[s] ^= bit
+            if not least:
+                return False
+        return True
+
+    return walk(0, 0, ready)
 
 
 def canonical_labelling(a: PosetMatrix) -> tuple[PosetMatrix, Permutation]:
@@ -212,30 +271,56 @@ def _canonical_lasts(rows: tuple[int, ...]) -> tuple[int, ...]:
     smaller relabelling of the rest, with the last element kept last, would
     be a smaller relabelling of the whole), so the canonical forms are a
     prefix-closed tree and each class is reached once, from the canonical
-    form of its first n-1 rows: orderly generation (Read, 1978).
+    form of its first n-1 rows: orderly generation (Read, 1978).  Callers
+    ask for the same forms again (counts for n = 0, 1, 2, ... in turn), so
+    they are memoized; the memo holds the forms below the side asked for,
+    never its leaves.
+    """
+    tables = _prefix_tables(rows)
+    return tuple(below for below in _down_sets(rows) if _child_is_canonical(tables, below))
 
-    A quick test rejects most non-canonical children without a search.
-    The new element may be inserted at any position p from D.bit_length()
-    on, the rows before p kept; if the element at p has a larger row key
-    than D | 1 << p there, that is a smaller relabelling.  Both keys have
-    bit p set and nothing above it, so they compare by their strict parts,
-    as _row_text strings (column 0 first).  Callers ask for the same forms
-    again (counts for n = 0, 1, 2, ... in turn), so they are memoized; the
-    memo holds the forms below the side asked for, never its leaves.
+
+def _prefix_tables(rows: tuple[int, ...]) -> tuple[list[int], list[list[int]], list[int], list[int]]:
+    """Predecessor masks, successor lists and row keys of rows's elements, and most[p], the largest key at p or later.
+
+    The keys are those of a child, on len(rows) + 1 bits, so that a child's
+    tables add only its new element.
     """
     n = len(rows)
-    top = 1 << n
-    most = [""] * (n + 1)  # most[p]: the largest strict-part key at positions p..n-1
+    preds = [rows[e] ^ 1 << e for e in range(n)]
+    succ_lists = [[i for i in range(j + 1, n) if preds[i] >> j & 1] for j in range(n)]
+    keys = [_child_key(pred, n) for pred in preds]
+    most = [0] * (n + 1)
     for p in range(n - 1, -1, -1):
-        most[p] = max(most[p + 1], _row_text(rows[p] ^ 1 << p, n))
-    lasts = []
-    for below in _down_sets(rows):
-        if _row_text(below, n) < most[below.bit_length()]:
-            continue
-        child = rows + (below | top,)
-        if _canonical_rows(child)[0] == child:
-            lasts.append(below)
-    return tuple(lasts)
+        most[p] = max(most[p + 1], keys[p])
+    return preds, succ_lists, keys, most
+
+
+def _child_key(pred: int, n: int) -> int:
+    """Row key of a strict-predecessor mask in a side-(n + 1) matrix: column 0 most significant."""
+    return sum(1 << (n - j) for j in _MEMBERS[pred])
+
+
+def _child_is_canonical(tables: tuple[list[int], list[list[int]], list[int], list[int]], below: int) -> bool:
+    """Whether rows + (below | 1 << n,) is canonical, given _prefix_tables(rows).
+
+    A quick test rejects most non-canonical children without a search.
+    The new element may be inserted at any position p from
+    below.bit_length() on, the rows before p kept; if the element at p has
+    a larger row key than below there, that is a smaller relabelling.
+    Both rows have bit p set and nothing above it, so they compare by
+    their keys.  Otherwise the bounded search decides, on the prefix's
+    tables with the new element added as a successor of below's members.
+    """
+    preds, succ_lists, keys, most = tables
+    n = len(preds)
+    key = _child_key(below, n)
+    if key < most[below.bit_length()]:
+        return False
+    child_succ_lists = succ_lists + [[]]
+    for j in _MEMBERS[below]:
+        child_succ_lists[j] = succ_lists[j] + [n]
+    return _is_least(preds + [below], child_succ_lists, keys + [key])
 
 
 def count_poset_matrices(n: int) -> int:

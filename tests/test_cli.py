@@ -36,6 +36,13 @@ def run_cli(capsys, *argv, expect=0):
     return captured
 
 
+def stdin_bytes(data):
+    """A stand-in for sys.stdin holding data (a str as its UTF-8 bytes), with the error handler of a C-locale interpreter."""
+    if isinstance(data, str):
+        data = data.encode()
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+
+
 def write_matrix(tmp_path, text, name="m.txt"):
     path = tmp_path / name
     path.write_text(text)
@@ -83,7 +90,7 @@ def test_validate_json_matrix_input(tmp_path, capsys):
 
 
 def test_validate_rejects_boolean_side(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO('{"n": true, "rows": ["1"]}'))
+    monkeypatch.setattr(sys, "stdin", stdin_bytes('{"n": true, "rows": ["1"]}'))
     run_cli(capsys, "validate", "-", expect=1)
 
 
@@ -91,8 +98,39 @@ def test_missing_file_is_io_error(capsys):
     run_cli(capsys, "validate", "/no/such/file", expect=3)
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("data", [b"1\xff\n", b"10\r\n11\r\n", b"\xef\xbb\xbf10\n11\n", V_MATRIX.encode()])
+def test_stdin_and_file_decode_alike(capsys, monkeypatch, tmp_path, data, fmt):
+    # the same bytes give the same stdout, stderr and exit code from a file and from stdin
+    path = tmp_path / "m.txt"
+    path.write_bytes(data)
+    from_file = main(["validate", str(path), "--format", fmt]), capsys.readouterr()
+    monkeypatch.setattr(sys, "stdin", stdin_bytes(data))
+    from_stdin = main(["validate", "-", "--format", fmt]), capsys.readouterr()
+    assert from_stdin == from_file
+
+
+def test_stdin_and_file_decode_alike_in_a_c_locale(tmp_path):
+    path = tmp_path / "not-utf8.txt"
+    path.write_bytes(b"1\xff\n")
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHONIOENCODING", "PYTHONUTF8"))}
+    env["LC_ALL"] = "C"  # stdin then decodes with surrogateescape
+    argv = [sys.executable, "-m", "posetmatrix", "validate", "--format", "json"]
+    runs = [subprocess.run(argv + [source], input=b"1\xff\n", capture_output=True, env=env, timeout=60) for source in (str(path), "-")]
+    assert runs[0].returncode == runs[1].returncode == 1
+    assert runs[0].stdout == runs[1].stdout == b""
+    assert runs[0].stderr == runs[1].stderr
+
+
+def test_non_utf8_stdin_is_a_decode_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", stdin_bytes(b"1\xff\n"))
+    out = run_cli(capsys, "validate", "-", "--format", "json", expect=1)
+    assert out.out == ""
+    assert out.err.startswith("pm: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_stdin_dash(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(V_MATRIX))
+    monkeypatch.setattr(sys, "stdin", stdin_bytes(V_MATRIX))
     out = run_cli(capsys, "embed", "-")
     assert out.out == "1,3,5\n"
 
@@ -515,7 +553,7 @@ def test_output_bytes_are_pinned(capsys, monkeypatch, tmp_path, argv, stdin, fmt
     monkeypatch.delenv("PM_CACHE_DIR", raising=False)
     monkeypatch.chdir(tmp_path)  # where no-such-matrix.txt is missing
     (tmp_path / "not-utf8.txt").write_bytes(b"1\xff\n")
-    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    monkeypatch.setattr(sys, "stdin", stdin_bytes(stdin))
     try:
         got = main(argv.split() + ["--format", fmt])
     except SystemExit as exc:
@@ -576,14 +614,14 @@ def test_jobs_and_cache_dir_only_on_enumerate_and_ideals(capsys, argv, flag):
 
 @pytest.mark.parametrize("command", ["validate", "embed", "dual", "canonical"])
 def test_deeply_nested_matrix_json_is_domain_error(capsys, monkeypatch, command):
-    monkeypatch.setattr(sys, "stdin", io.StringIO('{"n": ' + "[" * 100000))
+    monkeypatch.setattr(sys, "stdin", stdin_bytes('{"n": ' + "[" * 100000))
     out = run_cli(capsys, command, "-", expect=1)
     assert out.err.startswith("pm: bad matrix JSON: ")
     assert "Traceback" not in out.err
 
 
 def test_deeply_nested_matrix_json_validate_json_format(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO('{"n": ' + "[" * 100000))
+    monkeypatch.setattr(sys, "stdin", stdin_bytes('{"n": ' + "[" * 100000))
     out = run_cli(capsys, "validate", "-", "--format", "json", expect=1)
     obj = json.loads(out.out)
     assert obj["valid"] is False

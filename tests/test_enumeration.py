@@ -420,6 +420,49 @@ def test_canonical_lasts_quick_test_rejects_only_non_canonical_children():
             assert list(enumeration._canonical_lasts(rows)) == passing, rows
 
 
+def search_tables(rows):
+    """Predecessor masks, successor lists and row keys (column 0 most significant) of a poset-matrix row tuple."""
+    n = len(rows)
+    preds = [row ^ 1 << e for e, row in enumerate(rows)]
+    succ_lists = [[s for s in range(n) if preds[s] >> e & 1] for e in range(n)]
+    return preds, succ_lists, [int(format(pred, f"0{n}b")[::-1], 2) for pred in preds]
+
+
+def bounded_test_verdicts(prefixes):
+    """(children, canonical children, disagreements) of the bounded test against the full search, over every child.
+
+    Each child is decided twice: from its prefix's tables, quick test first,
+    and by the bounded search alone on the child's own tables.
+    """
+    children, canonical, wrong = 0, 0, []
+    for rows in prefixes:
+        tables = enumeration._prefix_tables(rows)
+        top = 1 << len(rows)
+        for below in enumeration._down_sets(rows):
+            child = rows + (below | top,)
+            least = enumeration._canonical_rows(child)[0] == child
+            children += 1
+            canonical += least
+            own = enumeration._is_least(*search_tables(child))
+            if enumeration._child_is_canonical(tables, below) != least or own != least:
+                wrong.append(child)
+    return children, canonical, wrong
+
+
+def test_bounded_canonical_test_matches_full_search_on_side_8_children():
+    prefixes = random.Random(7007).sample(class_forms(7), 300)
+    children, canonical, wrong = bounded_test_verdicts(prefixes)
+    assert wrong == []
+    assert 0 < canonical < children
+
+
+@pytest.mark.slow
+def test_bounded_canonical_test_matches_full_search_on_every_side_8_child():
+    children, canonical, wrong = bounded_test_verdicts(class_forms(7))
+    assert wrong == []
+    assert canonical == A000112[8]
+
+
 def test_class_weights_are_labelling_counts():
     # a class P has e(P) / |Aut(P)| natural labellings, so the forms and the walk count the same matrices
     for n in range(7):
