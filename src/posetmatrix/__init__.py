@@ -30,6 +30,7 @@ _EXPORTS = {
         "identity",
         "is_idempotent",
         "parse_index_vector",
+        "permute",
         "permute_similar",
     ),
     "domination": (
@@ -41,7 +42,6 @@ _EXPORTS = {
         "flip_entry",
         "incidence_matrix",
         "index_of",
-        "permute",
         "reduce_to_poset_matrix",
     ),
     "enumeration": (

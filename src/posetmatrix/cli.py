@@ -196,6 +196,7 @@ def _cmd_enumerate(args) -> int:
     from .enumeration import (
         MAX_CLASS_SIDE,
         MAX_ENUM_SIDE,
+        _class_walk,
         _walk,
         count_isomorphism_classes,
         count_poset_matrices,
@@ -220,7 +221,8 @@ def _cmd_enumerate(args) -> int:
     if not 0 <= n <= MAX_ENUM_SIDE:
         what = "canonical emission" if canonical else "enumeration"
         raise ValueError(f"{what} supports n in [0, {MAX_ENUM_SIDE}], got {n}")
-    _write_records(n, "canonical_forms" if canonical else "matrices", _walk(n, canonical), args.format == "json")
+    groups = _class_walk(n) if canonical else _walk(n)
+    _write_records(n, "canonical_forms" if canonical else "matrices", groups, args.format == "json")
     return 0
 
 

@@ -15,7 +15,7 @@ from itertools import permutations
 from typing import Sequence
 
 from . import DEFAULT_ORBIT_BUDGET
-from .bmatrix import BoolMatrix, _Value, _integer_entries, iter_bits, permute  # permute is re-exported
+from .bmatrix import BoolMatrix, _Value, iter_bits
 from .pascal import _subset_rows
 from .posetcore import PosetMatrix, _check_orbit_vector, validate
 
@@ -30,14 +30,7 @@ class NotChangeableError(ValueError):
 
 def incidence_matrix(alpha: Sequence[int], n: int) -> BoolMatrix:
     """n x n matrix whose row i is the binary expansion of alpha[i]."""
-    entries = _integer_entries(alpha)
-    if len(entries) != n:
-        raise ValueError(f"need exactly {n} entries, got {len(entries)}")
-    limit = 1 << n
-    for a in entries:
-        if not 0 <= a < limit:
-            raise ValueError(f"entry {a} does not fit in {n} binary digits")
-    return BoolMatrix(n, entries)
+    return BoolMatrix(n, alpha)
 
 
 def index_of(m: BoolMatrix) -> tuple[int, ...]:

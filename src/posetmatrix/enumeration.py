@@ -30,7 +30,7 @@ def _down_sets(prefix: tuple[int, ...]) -> list[int]:
     return sets
 
 
-def _walk(n: int, canonical: bool = False) -> Iterator[tuple[tuple[int, ...], Sequence[int]]]:
+def _walk(n: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """Each (n-1)-row prefix of a side-n poset matrix with the down-sets that complete it, in increasing row-mask order.
 
     The down-sets of prefix + (below | top,) are those of prefix plus, with
@@ -41,26 +41,18 @@ def _walk(n: int, canonical: bool = False) -> Iterator[tuple[tuple[int, ...], Se
     times the rest of the walk.  An explicit stack, children pushed in
     reverse, keeps the order without a chain of generators per prefix.
     Side 0 has no (n-1)-row prefix, so it yields nothing.
-
-    With canonical, the walk visits canonical forms only: each prefix is
-    extended, and yielded, by its _canonical_lasts, which reads the
-    prefix's down-sets itself so that it can be memoized by prefix alone,
-    so no list is carried and only the prefixes are pushed.
     """
     if n == 0:
         return
     stack = [((), [0])]
     while stack:
         prefix, sets = stack.pop()
-        if canonical:
-            sets = _canonical_lasts(prefix)
         if len(prefix) == n - 1:
             yield prefix, sets
             continue
         top = 1 << len(prefix)
         for below in reversed(sets):
-            child = prefix + (below | top,)
-            stack.append((child, None) if canonical else (child, sets + [s | top for s in sets if s & below == below]))
+            stack.append((prefix + (below | top,), sets + [s | top for s in sets if s & below == below]))
 
 
 def _poset_rows(n: int) -> Iterator[tuple[int, ...]]:
@@ -323,6 +315,21 @@ def _child_is_canonical(tables: tuple[list[int], list[list[int]], list[int], lis
     return _is_least(preds + [below], child_succ_lists, keys + [key])
 
 
+def _class_walk(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each canonical (n-1)-row prefix of a side-n class with its canonical lasts, in increasing row-mask order.
+
+    Level k + 1 extends each k-row prefix, in order, by its _canonical_lasts,
+    so levels ascend.  Side 0 has no (n-1)-row prefix, so it yields nothing.
+    """
+    if n == 0:
+        return
+    level = [()]
+    for k in range(n - 1):
+        level = [prefix + (below | 1 << k,) for prefix in level for below in _canonical_lasts(prefix)]
+    for prefix in level:
+        yield prefix, _canonical_lasts(prefix)
+
+
 def count_poset_matrices(n: int) -> int:
     """Number of n x n poset matrices: one per down-set of each (n-1)-row prefix of the walk."""
     if not 0 <= n <= MAX_CLASS_SIDE:
@@ -338,7 +345,7 @@ def count_isomorphism_classes(n: int) -> int:
         raise ValueError(f"class counting supports n in [0, {MAX_CLASS_SIDE}], got {n}")
     if n == 0:
         return 1
-    return sum(len(lasts) for _, lasts in _walk(n, canonical=True))
+    return sum(len(lasts) for _, lasts in _class_walk(n))
 
 
 # ---- index-vector classification -----------------------------------------

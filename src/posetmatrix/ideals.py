@@ -11,7 +11,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator
 
-from .bmatrix import _row_text, identity
+from .bmatrix import _integer_entries, _row_text, identity
 from .pascal import _submask_row, check_index_vector, induced_submatrix, pascal_matrix
 
 MAX_COUNT_GROUND = 32
@@ -19,9 +19,12 @@ MAX_SCAN_GROUND = 20
 MAX_DEDEKIND_EXP = 7
 
 
-def _check_mask(mask: int, n: int) -> None:
+def _check_mask(mask: int, n: int) -> int:
+    if not isinstance(mask, int):  # the check is on every conversion's path, so ints skip the normalization
+        (mask,) = _integer_entries((mask,), "subset masks")
     if not (mask >= 0 and mask.bit_length() <= n):  # no 1 << n: n may be huge
         raise ValueError(f"subset mask {mask:#x} does not fit a ground set of size {n}")
+    return mask
 
 
 def principal_ideal(i: int, n: int) -> int:
@@ -43,13 +46,13 @@ def is_antichain(mask: int, n: int) -> bool:
 
 def antichain_to_ideal(mask: int, n: int) -> int:
     """Downward closure of mask: union of the principal ideals of its elements."""
-    _check_mask(mask, n)
+    mask = _check_mask(mask, n)
     return mask | _strictly_below(mask)
 
 
 def ideal_to_antichain(mask: int, n: int) -> int:
     """Maximal elements of mask under the support order: those with no proper superset in mask."""
-    _check_mask(mask, n)
+    mask = _check_mask(mask, n)
     return mask & ~_strictly_below(mask)
 
 
@@ -98,7 +101,7 @@ def is_fixed_point(x: int, n: int) -> bool:
     outside x.  The rows are read from the top element down, and the first
     that leaves x answers; the cost follows x's elements, not its top bit.
     """
-    _check_mask(x, n)
+    x = _check_mask(x, n)
     rest = x
     while rest:
         i = rest.bit_length() - 1
@@ -187,7 +190,6 @@ def _count_by_halves(m: int, r: int) -> int:
     return sum([down[f & low] for f in down])
 
 
-@lru_cache(maxsize=None)
 def _count_by_quarters(j: int) -> int:
     """Ideals of the (j+2)-cube, split on its top two variables.
 
@@ -250,18 +252,13 @@ def count_fixed_points(n: int) -> int:
 def dedekind(k: int) -> int:
     """k-th Dedekind number: antichains of the subset lattice = ideals of the size-2**k Pascal poset.
 
-    Through k = 6 it is the count_ideals sum over the (k-1)-cube's
-    ideals; D(7) splits on the top two variables and sums pair products
-    over the 5-cube (Fidytek, Mostowski, Somla & Szepietowski,
+    From k = 2 on it splits on the top two variables and sums pair products
+    over the (k-2)-cube's ideals (Fidytek, Mostowski, Somla & Szepietowski,
     "Algorithms counting monotone Boolean functions", IPL 79, 2001).
     """
     if not 0 <= k <= MAX_DEDEKIND_EXP:
         raise ValueError(f"dedekind supports k in [0, {MAX_DEDEKIND_EXP}], got {k}")
-    if k == 0:
-        return 2
-    if k < 7:
-        return _count_by_halves(k - 1, 1 << (k - 1))
-    return _count_by_quarters(k - 2)
+    return k + 2 if k < 2 else _count_by_quarters(k - 2)
 
 
 def identity_antichain_check(alpha, n: int) -> bool:

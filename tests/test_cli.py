@@ -10,7 +10,7 @@ import pytest
 
 from posetmatrix.bmatrix import BoolMatrix
 from posetmatrix.cli import main
-from posetmatrix.enumeration import _poset_rows, _walk, canonical_form, enumerate_poset_matrices
+from posetmatrix.enumeration import _class_walk, _poset_rows, canonical_form, enumerate_poset_matrices
 
 V_MATRIX = "100\n110\n101\n"
 CHAIN_BAD = "100\n110\n011\n"
@@ -268,7 +268,7 @@ def test_enumerate_matrices_side_7_is_pinned(capsys, fmt):
 def class_forms(n):
     """Canonical forms of every n-element class (n >= 1), ascending, from the walk kept to canonical prefixes."""
     top = 1 << (n - 1)
-    return [prefix + (below | top,) for prefix, lasts in _walk(n, canonical=True) for below in lasts]
+    return [prefix + (below | top,) for prefix, lasts in _class_walk(n) for below in lasts]
 
 
 def test_enumerate_canonical_side_7_json_equals_json_dumps(capsys):

@@ -5,7 +5,7 @@ from collections import deque
 
 import pytest
 
-from posetmatrix.bmatrix import BoolMatrix, Permutation, identity
+from posetmatrix.bmatrix import BoolMatrix, Permutation, identity, permute
 from posetmatrix.domination import (
     NotChangeableError,
     _column_tables,
@@ -15,7 +15,6 @@ from posetmatrix.domination import (
     flip_entry,
     incidence_matrix,
     index_of,
-    permute,
     reduce_to_poset_matrix,
 )
 from posetmatrix.enumeration import _class_table, canonical_form, enumerate_poset_matrices, pascal_class

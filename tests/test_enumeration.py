@@ -186,7 +186,7 @@ def class_forms(n):
     if n == 0:
         return [()]
     top = 1 << (n - 1)
-    return [prefix + (below | top,) for prefix, lasts in enumeration._walk(n, canonical=True) for below in lasts]
+    return [prefix + (below | top,) for prefix, lasts in enumeration._class_walk(n) for below in lasts]
 
 
 def labelling_count(rows):
@@ -269,8 +269,8 @@ def test_walk_of_side_0_yields_nothing():
     code = (
         "import resource\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
-        "from posetmatrix.enumeration import _walk\n"
-        "print(list(_walk(0)), list(_walk(0, canonical=True)))\n"
+        "from posetmatrix.enumeration import _class_walk, _walk\n"
+        "print(list(_walk(0)), list(_class_walk(0)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
     assert proc.returncode == 0, proc.stderr

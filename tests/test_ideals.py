@@ -237,6 +237,13 @@ def test_mask_bounds_checked():
         antichain_to_ideal(-1, 5)
 
 
+@pytest.mark.parametrize("check", [is_ideal, is_antichain, antichain_to_ideal, ideal_to_antichain, is_fixed_point])
+@pytest.mark.parametrize("mask", [1.5, "3", None])
+def test_masks_must_be_integers(check, mask):
+    with pytest.raises(ValueError, match=rf"subset masks must be integers, got {mask!r}"):
+        check(mask, 3)
+
+
 # ---- fixed points ----
 
 
@@ -355,6 +362,13 @@ def test_halves_and_quarters_agree(k):
     assert by_halves == _count_by_quarters(k - 2) == dedekind(k) == DEDEKIND_NUMBERS[k]
     if k <= 5:
         assert by_halves == count_ideals(1 << k)
+
+
+def test_dedekind_six_needs_no_five_cube_table():
+    # the top-two split reads FD(4); the top-variable split would build FD(5), 7581 ideals
+    _down_counts.cache_clear()
+    assert dedekind(6) == DEDEKIND_NUMBERS[6]
+    assert _down_counts.cache_info().currsize <= 5
 
 
 def test_dedekind_values():

@@ -79,6 +79,13 @@ def test_import_and_dir_load_no_module():
     assert proc.stdout == "['posetmatrix']\nTrue\n"
 
 
+def test_permute_loads_only_bmatrix():
+    code = "import sys, posetmatrix; posetmatrix.permute; print(sorted(m for m in sys.modules if m.startswith('posetmatrix')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['posetmatrix', 'posetmatrix.bmatrix']\n"
+
+
 def test_public_names_resolve_to_their_modules():
     for name in posetmatrix.__all__:
         value = getattr(posetmatrix, name)
