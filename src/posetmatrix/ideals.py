@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .bmatrix import _integer_entries, _row_text, identity
 from .pascal import _submask_row, check_index_vector, induced_submatrix, pascal_matrix
@@ -87,12 +87,6 @@ def _bit_planes(n: int) -> tuple[int, ...]:
     return tuple(planes)
 
 
-@lru_cache(maxsize=None)
-def _pred_masks(n: int) -> tuple[int, ...]:
-    """Proper predecessors of each element: its proper submasks."""
-    return tuple(_submask_row(i) ^ (1 << i) for i in range(n))
-
-
 def is_fixed_point(x: int, n: int) -> bool:
     """True when the characteristic row vector x satisfies x . P = x over the Boolean semiring.
 
@@ -118,7 +112,8 @@ def count_ideals(n: int) -> int:
     2**m elements and on the other n - 2**m (element 2**m + y sits above y),
     the second inside the first; so the count is the sum of |down f| over
     the ideals f of the m-cube, each cut to the first n - 2**m elements.
-    iter_ideals is the independent route that walks every ideal.
+    iter_ideals lists the same pairs; the tests keep a per-element walk and
+    the fixed-point scan as the independent routes.
     """
     if not 0 <= n <= MAX_COUNT_GROUND:
         raise ValueError(f"ideal counting supports n in [0, {MAX_COUNT_GROUND}], got {n}")
@@ -131,33 +126,46 @@ def count_ideals(n: int) -> int:
 def iter_ideals(n: int) -> Iterator[int]:
     """Yield every ideal of the size-n Pascal poset as a subset mask.
 
-    Elements are decided in order, element i left out before it is taken
-    in, and it can be taken in only once all its predecessors are.
+    The order is lexicographic in element order, element i left out before
+    it is taken in.  With 2**m < n <= 2**(m+1), an ideal is f | g << 2**m:
+    f an ideal of the m-cube (the first 2**m elements) and g one of the
+    other n - 2**m elements with g inside f, so the ideals are listed f by
+    f, and for each f every such g in order.  count_ideals sums over the
+    same split; the tests keep a per-element walk as the second route.
     """
     return map(itemgetter(0), _ideal_walk(n))
 
 
-def _ideal_walk(n: int) -> Iterator[tuple[int, int]]:
+def _ideal_walk(n: int) -> list[tuple[int, int]]:
+    """(ideal, its maximal elements) for every ideal, in iter_ideals order.
+
+    An x in f lies below 2**m + y exactly when x is a submask of y, and g
+    is downward closed, so x is covered from above by the second half
+    exactly when x is in g: the maximal elements are a & ~g | b << 2**m.
+    """
+    h, low, high = _halves(n)
+    return [(f | g << h, a & ~g | b << h) for f, a in low for g, b in high if not g & ~f]
+
+
+def _halves(n: int) -> tuple[int, Sequence[tuple[int, int]], Sequence[tuple[int, int]]]:
+    """(h, the pairs of the first h elements, the pairs of the other n - h), h = 2**m < n <= 2**(m+1).
+
+    Below two elements there is nothing to split: the first half is all
+    of them and the second is empty.
+    """
     if not 0 <= n <= MAX_COUNT_GROUND:
         raise ValueError(f"ideal iteration supports n in [0, {MAX_COUNT_GROUND}], got {n}")
-    return _walk_ideals(_pred_masks(n), n)
+    if n < 2:
+        return n, ((0, 0), (1, 1))[: n + 1], ((0, 0),)
+    m = (n - 1).bit_length() - 1
+    h, cube = 1 << m, _cube_pairs(m)
+    return h, cube, cube if n == 2 * h else _ideal_walk(n - h)
 
 
-def _walk_ideals(preds: tuple[int, ...], n: int) -> Iterator[tuple[int, int]]:
-    """(ideal, its maximal elements) for every ideal, in iter_ideals order."""
-    # A stack entry is a decided prefix (next element, chosen mask, its
-    # maximal elements); each "taken in" branch waits on the stack until
-    # "left out" is walked out.  Only a later element can lie above i, so
-    # taking i in makes i maximal and its predecessors not.
-    stack = [(0, 0, 0)]
-    while stack:
-        i, chosen, anti = stack.pop()
-        while i < n:
-            below = preds[i]
-            if below & ~chosen == 0:
-                stack.append((i + 1, chosen | (1 << i), anti & ~below | (1 << i)))
-            i += 1
-        yield chosen, anti
+@lru_cache(maxsize=None)
+def _cube_pairs(m: int) -> tuple[tuple[int, int], ...]:
+    """The (ideal, maximal elements) pairs of the m-cube, the first half of every split."""
+    return tuple(_ideal_walk(1 << m))
 
 
 @lru_cache(maxsize=None)
@@ -272,11 +280,25 @@ def identity_antichain_check(alpha, n: int) -> bool:
 
 
 def antichain_table(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...], str]]:
-    """(antichain, ideal, fixed-point string) for every ideal, by antichain size then entries."""
-    walk = _ideal_walk(n)  # checks n before it sizes the tables
+    """(antichain, ideal, fixed-point string) for every ideal, by antichain size then entries.
+
+    Each row joins pieces of its two halves, each computed once: the
+    positions and text of f, and those of g and its maximal elements
+    shifted past the first half.
+    """
+    h, low, high = _halves(n)  # checks n before it sizes the tables
     tables = [_byte_positions(k) for k in range((n + 7) // 8)]
-    rows = [(_positions(anti, tables), _positions(ideal, tables), _row_text(ideal, n)) for ideal, anti in walk]
-    rows.sort(key=lambda triple: (len(triple[0]), triple[0]))
+    highs = [(g, _positions(b << h, tables), _positions(g << h, tables), _row_text(g, n - h)) for g, b in high]
+    rows = []
+    for f, a in low:
+        ideal, text = _positions(f, tables), _row_text(f, h)
+        rows += [
+            (_positions(a & ~g, tables) + anti_hi, ideal + ideal_hi, text + text_hi)
+            for g, anti_hi, ideal_hi, text_hi in highs
+            if not g & ~f
+        ]
+    rows.sort(key=itemgetter(0))
+    rows.sort(key=lambda row: len(row[0]))
     return rows
 
 

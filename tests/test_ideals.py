@@ -11,10 +11,9 @@ from posetmatrix.ideals import (
     _count_by_halves,
     _count_by_quarters,
     _down_counts,
-    _pred_masks,
+    _ideal_walk,
     _strictly_below,
     _variable_orbits,
-    _walk_ideals,
     antichain_table,
     antichain_to_ideal,
     count_fixed_points,
@@ -78,6 +77,28 @@ def ideals_by_recursion(n):
 
     rec(0, 0)
     return out
+
+
+def walk_ideals(n):
+    """(ideal, its maximal elements) for every ideal, deciding the n elements one at a time.
+
+    The per-element route the library's half split is checked against, and
+    a stream: it holds one stack of decided prefixes, never the list.
+    """
+    preds = [_submask_row(i) ^ (1 << i) for i in range(n)]
+    # A stack entry is a decided prefix (next element, chosen mask, its
+    # maximal elements); each "taken in" branch waits on the stack until
+    # "left out" is walked out.  Only a later element can lie above i, so
+    # taking i in makes i maximal and its predecessors not.
+    stack = [(0, 0, 0)]
+    while stack:
+        i, chosen, anti = stack.pop()
+        while i < n:
+            below = preds[i]
+            if below & ~chosen == 0:
+                stack.append((i + 1, chosen | (1 << i), anti & ~below | (1 << i)))
+            i += 1
+        yield chosen, anti
 
 
 # ---- principal ideals and closures ----
@@ -151,11 +172,18 @@ def test_antichain_ideal_bijection():
         assert {antichain_to_ideal(a, n) for a in antichains} == ideals
 
 
-@pytest.mark.parametrize("n", list(range(21)) + [32])
+@pytest.mark.parametrize("n", range(33))
 def test_iter_ideals_order_matches_recursion(n):
     expected = ideals_by_recursion(n)
     assert list(iter_ideals(n)) == expected
     assert count_ideals(n) == len(expected)
+
+
+@pytest.mark.parametrize("n", range(33))
+def test_split_carries_the_maximal_elements(n):
+    pairs = _ideal_walk(n)
+    assert [anti for _, anti in pairs] == [ideal_to_antichain(ideal, n) for ideal, _ in pairs]
+    assert pairs == list(walk_ideals(n))
 
 
 def test_iter_ideals_checks_n_at_call():
@@ -316,13 +344,13 @@ def test_ideal_count_bounds():
 
 @pytest.mark.parametrize("n", range(33))
 def test_count_ideals_matches_walk(n):
-    assert count_ideals(n) == sum(1 for _ in iter_ideals(n))
+    assert count_ideals(n) == sum(1 for _ in walk_ideals(n)) == sum(1 for _ in iter_ideals(n))
 
 
 @pytest.mark.parametrize("k", range(5))
 def test_down_counts_match_walk(k):
-    # |down f| for every ideal f of the k-cube, counted over all its ideals
-    ideals = list(iter_ideals(1 << k))
+    # |down f| for every ideal f of the k-cube, counted over all its ideals, listed without the split
+    ideals = [ideal for ideal, _ in walk_ideals(1 << k)]
     down = _down_counts(k)
     assert sorted(down) == sorted(ideals)
     for f in ideals:
@@ -377,7 +405,8 @@ def test_dedekind_values():
 
 @pytest.mark.slow
 def test_dedekind_six_matches_walk():
-    assert sum(1 for _ in _walk_ideals(_pred_masks(64), 64)) == dedekind(6) == 7828354
+    # the library's split would hold all 7.8 M pairs; the per-element walk streams them
+    assert sum(1 for _ in walk_ideals(64)) == dedekind(6) == 7828354
 
 
 @pytest.mark.slow
