@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .bmatrix import BoolMatrix, Permutation, _Value
+from .bmatrix import BoolMatrix, Permutation, _row_text, _Value
 from .posetcore import PosetMatrix, _check_orbit_vector, _dual_entries, realize
 
 MAX_ENUM_SIDE = 8
@@ -86,153 +86,138 @@ for _e in range(MAX_CLASS_SIDE):
     _MEMBERS += [members + (_e,) for members in _MEMBERS]
 
 
-def _blocks(preds: list[int], succ_lists: list[list[int]]) -> tuple[list[int], list[list[int]], int]:
-    """Blocker masks, unblock lists and the initial ready mask of a search over position assignments.
+def _search_tables(rows: tuple[int, ...], width: int) -> tuple[list[int], list[int], list[int]]:
+    """Predecessor masks, successor masks and row keys on width columns of a poset-matrix row tuple's elements."""
+    preds = [row ^ 1 << e for e, row in enumerate(rows)]
+    succs = [0] * len(rows)
+    for e, pred in enumerate(preds):
+        for j in _MEMBERS[pred]:
+            succs[j] |= 1 << e
+    return preds, succs, [_row_key(pred, width) for pred in preds]
+
+
+def _row_key(pred: int, width: int) -> int:
+    """Row key of a strict-predecessor mask in a side-width matrix: column 0 most significant."""
+    return int(_row_text(pred, width), 2)
+
+
+def _blocks(preds: list[int], succs: list[int]) -> tuple[list[int], list[int], int]:
+    """Blocker masks, unblock masks and the initial ready mask of a search over position assignments.
 
     An element is blocked by its predecessors and by its smaller twins
     (elements with equal predecessor and successor sets), and a position
-    can take it once its blockers are placed; unblocks[e] lists the
-    elements e may be the last to block.  Twins are interchangeable:
-    swapping two unplaced twins is an automorphism fixing every placed
-    element, so a twin's subtree repeats, key for key, that of the smaller
-    twin, and blocking it drops no key sequence.  Twins are placed in
-    element order, so the largest smaller twin is the last to block one.
+    can take it once its blockers are placed; unblocks[e] holds the
+    elements e may be the last to block.  Twins are placed in element
+    order, so the largest smaller twin is the last to block one.
     """
     blockers = preds[:]
-    unblocks = succ_lists[:]  # a list is copied only where a twin is added
-    twins_so_far: dict[tuple[int, ...], int] = {}
+    unblocks = succs[:]
+    ready = 0
+    twins_so_far: dict[tuple[int, int], int] = {}
     for e, pred in enumerate(preds):
-        key = (pred, *succ_lists[e])
+        key = (pred, succs[e])
         twins = twins_so_far.get(key, 0)
         if twins:
             blockers[e] |= twins
-            last = twins.bit_length() - 1
-            unblocks[last] = unblocks[last] + [e]
+            unblocks[twins.bit_length() - 1] |= 1 << e
+        elif not pred:
+            ready |= 1 << e
         twins_so_far[key] = twins | 1 << e
-    return blockers, unblocks, sum(1 << e for e, block in enumerate(blockers) if not block)
+    return blockers, unblocks, ready
 
 
-def _canonical_rows(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Least relabelling of a poset-matrix row tuple, with the old->new witness map.
+def _least_order(preds: list[int], succs: list[int], keys: list[int], stop: bool) -> list[int] | None:
+    """A poset's elements in the order of its least relabelling, from their row keys; with stop, None unless that is the identity.
 
-    Search over position assignments: a position can take any element whose
-    predecessors are all placed (so the result stays a poset matrix).  A
-    row's key is its mask with the bit order reversed (column 0 most
-    significant), and the row at position k holds only positions up to k,
-    so its key is fixed by the choice at k.  A minimal leaf therefore takes
-    a least key at every depth: the search branches only on the candidates
-    that tie for the least key, in element order, and a branch dies as soon
-    as its key prefix exceeds the incumbent's.  Keys are carried: placing e
-    at position k sets key bit n-1-k in each successor's key, cleared again
-    on return.  So is the ready mask: placing e makes ready those it was
-    the last to block.
+    Search over position assignments: a position can take any element
+    whose predecessors are all placed (so the result stays a poset
+    matrix).  A row's key is its mask with the bit order reversed (column
+    0 most significant), and the row at position k holds only positions
+    up to k, so its key is fixed by the choice at k.  Keys are carried:
+    placing e at position k sets key bit n-1-k in each successor's key,
+    cleared again on return.  So is the ready mask: placing e makes ready
+    those it was the last to block.
 
-    Twins are blocked by _blocks: a blocked twin's subtree repeats that of
-    the smaller twin, which is searched earlier, so the first minimal leaf,
-    and with it the form and the witness, stay the same.  The rows are
-    built once, from that leaf's order.
+    The identity is the first incumbent, and keys holds the incumbent's
+    row keys, position by position.  At depth k the search branches only
+    on the ready elements whose carried key ties the least one, in
+    element order, and a branch dies when that key exceeds keys[k].  When
+    it is below keys[k], every order through the node is smaller than the
+    incumbent: the search lowers keys[k] in place, raises the deeper keys
+    above every key, and takes the first leaf it reaches after that as the
+    new incumbent.  A later leaf that only ties it is not taken, so the
+    result is the first least leaf, and with it the form and the witness.
+    With stop, the search answers None at the first lowering instead: the
+    bounded canonicity test, which walks only the orders whose keys tie
+    the identity's.
+
+    Twins are blocked by _blocks.  Swapping two unplaced twins is an
+    automorphism fixing every placed element, so a blocked twin's subtree
+    repeats, key for key, that of the smaller twin, which is searched
+    earlier; blocking drops no key sequence and no first least leaf.
     """
-    n = len(rows)
-    if n == 0:
-        return (), ()
-    bits = [1 << e for e in range(n)]
-    preds = [rows[e] ^ bits[e] for e in range(n)]
-    succ_lists = [[i for i in range(j + 1, n) if preds[i] & bits[j]] for j in range(n)]
-    blockers, unblocks, ready = _blocks(preds, succ_lists)
-    keys = [0] * n
-    order: list[int] = []
-    best_order: list[int] = []
-    best_keys: list[int] = []
-
-    def walk(k: int, used: int, ready: int, tight: bool) -> bool:
-        """Search below order; tight when its keys equal the incumbent's prefix. True if it set a new incumbent."""
-        if k == n:
-            if tight:  # equal to the incumbent, which was found first
-                return False
-            best_order[:] = order
-            best_keys[:] = [keys[e] for e in order]
-            return True
-        least = -1
-        for e in _MEMBERS[ready]:
-            if least < 0 or keys[e] < least:
-                least, ties = keys[e], [e]
-            elif keys[e] == least:
-                ties.append(e)
-        if tight:
-            if least > best_keys[k]:
-                return False
-            tight = least == best_keys[k]
-        bit = 1 << (n - 1 - k)
-        found = False
-        for e in ties:
-            placed = used | bits[e]
-            child_ready = ready ^ bits[e]
-            for s in unblocks[e]:
-                if not blockers[s] & ~placed:
-                    child_ready |= bits[s]
-            for s in succ_lists[e]:
-                keys[s] |= bit
-            order.append(e)
-            if walk(k + 1, placed, child_ready, tight):
-                found = tight = True  # the new incumbent runs through this node
-            order.pop()
-            for s in succ_lists[e]:
-                keys[s] ^= bit
-        return found
-
-    walk(0, 0, ready, False)  # the first leaf is taken
-    mapping = [0] * n
-    for pos, element in enumerate(best_order):
-        mapping[element] = pos
-    new_rows = [1 << pos for pos in range(n)]
-    for e in range(n):
-        for s in succ_lists[e]:
-            new_rows[mapping[s]] |= 1 << mapping[e]
-    return tuple(new_rows), tuple(mapping)
-
-
-def _is_least(preds: list[int], succ_lists: list[list[int]], keys: list[int]) -> bool:
-    """Whether the identity labelling is the least relabelling of a poset, given each element's row key.
-
-    A bounded form of _canonical_rows's search, with the identity as the
-    incumbent from the root: keys[k] is element k's key, so the
-    incumbent's key at depth k.  Only orders whose keys so far equal the
-    incumbent's are walked, branching on the ready elements whose carried
-    key ties keys[k]; a ready element with a smaller key answers False at
-    once, since every linear extension through it is a smaller
-    relabelling.  Twins are blocked as there, which drops no key sequence.
-    """
-    last = len(preds) - 1
-    blockers, unblocks, ready = _blocks(preds, succ_lists)
-    carried = [0] * len(preds)
+    n = len(preds)
+    top = 1 << n  # above every key
+    blockers, unblocks, ready = _blocks(preds, succs)
+    carried = [0] * n
+    path = list(range(n))  # path[:k] is the order below the node at depth k
+    best = path[:]
+    lowered = False  # since the incumbent was last taken
 
     def walk(k: int, placed: int, ready: int) -> bool:
-        want = keys[k]
+        """Search below path[:k]; True if stop and a smaller key turned up."""
+        nonlocal lowered
+        if k == n:
+            if lowered:
+                best[:] = path
+                lowered = False
+            return False
         members = _MEMBERS[ready]
+        want = least = keys[k]
         for e in members:
-            if carried[e] < want:
-                return False
-        if k == last:
-            return True
-        bit = 1 << (last - k)
+            if carried[e] < least:
+                if stop:
+                    return True
+                least = carried[e]
+        if least < want:
+            keys[k:] = [least] + [top] * (n - 1 - k)
+            lowered = True
+        bit = 1 << (n - 1 - k)
         for e in members:
-            if carried[e] != want:
+            if carried[e] != least:
                 continue
             child_placed = placed | 1 << e
             child_ready = ready ^ 1 << e
-            for s in unblocks[e]:
+            for s in _MEMBERS[unblocks[e]]:
                 if not blockers[s] & ~child_placed:
                     child_ready |= 1 << s
-            for s in succ_lists[e]:
+            successors = _MEMBERS[succs[e]]
+            for s in successors:
                 carried[s] |= bit
-            least = walk(k + 1, child_placed, child_ready)
-            for s in succ_lists[e]:
+            path[k] = e
+            smaller = walk(k + 1, child_placed, child_ready)
+            for s in successors:
                 carried[s] ^= bit
-            if not least:
-                return False
-        return True
+            if smaller:
+                return True
+        return False
 
-    return walk(0, 0, ready)
+    return None if walk(0, 0, ready) else best
+
+
+def _canonical_rows(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Least relabelling of a poset-matrix row tuple, with the old->new witness map, built from _least_order's order."""
+    n = len(rows)
+    preds, succs, keys = _search_tables(rows, n)
+    order = _least_order(preds, succs, keys, False)
+    mapping = [0] * n
+    for pos, e in enumerate(order):
+        mapping[e] = pos
+    new_rows = [1 << pos for pos in range(n)]
+    for e in range(n):
+        for s in _MEMBERS[succs[e]]:
+            new_rows[mapping[s]] |= 1 << mapping[e]
+    return tuple(new_rows), tuple(mapping)
 
 
 def canonical_labelling(a: PosetMatrix) -> tuple[PosetMatrix, Permutation]:
@@ -272,28 +257,21 @@ def _canonical_lasts(rows: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(below for below in _down_sets(rows) if _child_is_canonical(tables, below))
 
 
-def _prefix_tables(rows: tuple[int, ...]) -> tuple[list[int], list[list[int]], list[int], list[int]]:
-    """Predecessor masks, successor lists and row keys of rows's elements, and most[p], the largest key at p or later.
+def _prefix_tables(rows: tuple[int, ...]) -> tuple[list[int], list[int], list[int], list[int]]:
+    """_search_tables of rows's elements, with keys on len(rows) + 1 bits, and most[p], the largest key at p or later.
 
-    The keys are those of a child, on len(rows) + 1 bits, so that a child's
-    tables add only its new element.
+    The keys are those of a child, so that a child's tables add only its
+    new element.
     """
     n = len(rows)
-    preds = [rows[e] ^ 1 << e for e in range(n)]
-    succ_lists = [[i for i in range(j + 1, n) if preds[i] >> j & 1] for j in range(n)]
-    keys = [_child_key(pred, n) for pred in preds]
+    preds, succs, keys = _search_tables(rows, n + 1)
     most = [0] * (n + 1)
     for p in range(n - 1, -1, -1):
         most[p] = max(most[p + 1], keys[p])
-    return preds, succ_lists, keys, most
+    return preds, succs, keys, most
 
 
-def _child_key(pred: int, n: int) -> int:
-    """Row key of a strict-predecessor mask in a side-(n + 1) matrix: column 0 most significant."""
-    return sum(1 << (n - j) for j in _MEMBERS[pred])
-
-
-def _child_is_canonical(tables: tuple[list[int], list[list[int]], list[int], list[int]], below: int) -> bool:
+def _child_is_canonical(tables: tuple[list[int], list[int], list[int], list[int]], below: int) -> bool:
     """Whether rows + (below | 1 << n,) is canonical, given _prefix_tables(rows).
 
     A quick test rejects most non-canonical children without a search.
@@ -301,18 +279,19 @@ def _child_is_canonical(tables: tuple[list[int], list[list[int]], list[int], lis
     below.bit_length() on, the rows before p kept; if the element at p has
     a larger row key than below there, that is a smaller relabelling.
     Both rows have bit p set and nothing above it, so they compare by
-    their keys.  Otherwise the bounded search decides, on the prefix's
-    tables with the new element added as a successor of below's members.
+    their keys.  Otherwise the bounded search decides, on fresh copies of
+    the prefix's tables with the new element added as a successor of
+    below's members; it never writes to the prefix's own.
     """
-    preds, succ_lists, keys, most = tables
+    preds, succs, keys, most = tables
     n = len(preds)
-    key = _child_key(below, n)
+    key = _row_key(below, n + 1)
     if key < most[below.bit_length()]:
         return False
-    child_succ_lists = succ_lists + [[]]
+    child_succs = succs + [0]
     for j in _MEMBERS[below]:
-        child_succ_lists[j] = succ_lists[j] + [n]
-    return _is_least(preds + [below], child_succ_lists, keys + [key])
+        child_succs[j] |= 1 << n
+    return _least_order(preds + [below], child_succs, keys + [key], True) is not None
 
 
 def _class_walk(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import itertools
 import os
@@ -421,15 +422,15 @@ def test_canonical_lasts_quick_test_rejects_only_non_canonical_children():
 
 
 def search_tables(rows):
-    """Predecessor masks, successor lists and row keys (column 0 most significant) of a poset-matrix row tuple."""
+    """Predecessor masks, successor masks and row keys (column 0 most significant) of a poset-matrix row tuple."""
     n = len(rows)
     preds = [row ^ 1 << e for e, row in enumerate(rows)]
-    succ_lists = [[s for s in range(n) if preds[s] >> e & 1] for e in range(n)]
-    return preds, succ_lists, [int(format(pred, f"0{n}b")[::-1], 2) for pred in preds]
+    succs = [sum(1 << s for s in range(n) if preds[s] >> e & 1) for e in range(n)]
+    return preds, succs, [int(format(pred, f"0{n}b")[::-1], 2) for pred in preds]
 
 
 def bounded_test_verdicts(prefixes):
-    """(children, canonical children, disagreements) of the bounded test against the full search, over every child.
+    """(children, canonical children, disagreements) of the bounded test against the unpruned search, over every child.
 
     Each child is decided twice: from its prefix's tables, quick test first,
     and by the bounded search alone on the child's own tables.
@@ -440,10 +441,10 @@ def bounded_test_verdicts(prefixes):
         top = 1 << len(rows)
         for below in enumeration._down_sets(rows):
             child = rows + (below | top,)
-            least = enumeration._canonical_rows(child)[0] == child
+            least = unpruned_canonical_rows(child)[0] == child
             children += 1
             canonical += least
-            own = enumeration._is_least(*search_tables(child))
+            own = enumeration._least_order(*search_tables(child), True) is not None
             if enumeration._child_is_canonical(tables, below) != least or own != least:
                 wrong.append(child)
     return children, canonical, wrong
@@ -461,6 +462,38 @@ def test_bounded_canonical_test_matches_full_search_on_every_side_8_child():
     children, canonical, wrong = bounded_test_verdicts(class_forms(7))
     assert wrong == []
     assert canonical == A000112[8]
+
+
+def test_deciding_children_leaves_the_prefix_tables_as_they_were():
+    # the search lowers its keys in place, so a child must hand it its own lists, never the prefix's
+    for n in range(7):
+        for rows in class_forms(n):
+            tables = enumeration._prefix_tables(rows)
+            for below in enumeration._down_sets(rows):
+                enumeration._child_is_canonical(tables, below)
+            assert tables == enumeration._prefix_tables(rows), rows
+
+
+def test_full_search_lowers_the_keys_to_the_least_forms():
+    # without stop the incumbent's keys end as the least form's, and the order relabels rows onto it
+    rng = random.Random(2323)
+    for rows in [random_poset_rows(rng, n) for n in range(9) for _ in range(40)]:
+        form, mapping = unpruned_canonical_rows(rows)
+        preds, succs, keys = search_tables(rows)
+        order = enumeration._least_order(preds, succs, keys, False)
+        assert order == sorted(range(len(rows)), key=mapping.__getitem__), rows
+        assert keys == search_tables(form)[2], rows
+
+
+@pytest.mark.slow
+def test_canonical_forms_and_witnesses_are_pinned():
+    # the form and witness of every labelled matrix of side 7 or less; a faster search must leave both as they are
+    digest = hashlib.sha256()
+    for n in range(8):
+        for a in enumerate_poset_matrices(n):
+            c, q = canonical_labelling(a)
+            digest.update(repr((c.rows, q.mapping)).encode())
+    assert digest.hexdigest() == "fecdd74afb99e3dd583cbf55e46d73f72d249f3c54d9aa7518848df8a797bc30"
 
 
 def test_class_weights_are_labelling_counts():
