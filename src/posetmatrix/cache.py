@@ -40,7 +40,7 @@ class ResultCache:
         try:
             with open(self._path(key), "r", encoding="utf-8") as fh:
                 entry = json.load(fh)
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):  # RecursionError: JSON nested past the parser's depth
             return None
         if not isinstance(entry, dict):
             return None

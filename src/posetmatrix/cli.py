@@ -102,10 +102,11 @@ def _write_records(n: int, field: str, groups, json_format: bool) -> None:
     write(tail)
 
 
-def _cached(args, key: str, compute) -> dict:
+def _cached(args, key: str, compute, valid) -> dict:
     """Value for key from the --cache-dir cache, or compute() stored there on a miss.
 
-    The cache is best-effort: a failed write is a warning and the value is kept.
+    A stored value that valid rejects is a miss too.  The cache is
+    best-effort: a failed write is a warning and the value is kept.
     """
     directory = args.cache_dir or os.environ.get("PM_CACHE_DIR")
     if not directory:
@@ -114,7 +115,7 @@ def _cached(args, key: str, compute) -> dict:
 
     cache = ResultCache(directory)
     value = cache.get(key)
-    if value is None:
+    if value is None or not valid(value):
         value = compute()
         try:
             cache.put(key, value)
@@ -192,6 +193,15 @@ def _cmd_dual_index(args) -> int:
     return 0
 
 
+def _is_counts(value) -> bool:
+    """True for a {poset_matrices, isomorphism_classes} dict of ints, the shape of a stored count."""
+    return (
+        isinstance(value, dict)
+        and value.keys() == {"poset_matrices", "isomorphism_classes"}
+        and all(type(count) is int for count in value.values())
+    )
+
+
 def _cmd_enumerate(args) -> int:
     from .enumeration import (
         MAX_CLASS_SIDE,
@@ -213,6 +223,7 @@ def _cmd_enumerate(args) -> int:
                 "poset_matrices": count_poset_matrices(n),
                 "isomorphism_classes": count_isomorphism_classes(n),
             },
+            _is_counts,
         )
         text = f"poset matrices: {value['poset_matrices']}\nisomorphism classes: {value['isomorphism_classes']}"
         _emit(args, {"n": n, **value}, text)

@@ -206,18 +206,18 @@ def _least_order(preds: list[int], succs: list[int], keys: list[int], stop: bool
 
 
 def _canonical_rows(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Least relabelling of a poset-matrix row tuple, with the old->new witness map, built from _least_order's order."""
+    """Least relabelling of a poset-matrix row tuple, with the old->new witness map.
+
+    The rows come from the least leaf's row keys, which _least_order
+    leaves in keys, and the witness from its order.
+    """
     n = len(rows)
     preds, succs, keys = _search_tables(rows, n)
     order = _least_order(preds, succs, keys, False)
     mapping = [0] * n
     for pos, e in enumerate(order):
         mapping[e] = pos
-    new_rows = [1 << pos for pos in range(n)]
-    for e in range(n):
-        for s in _MEMBERS[succs[e]]:
-            new_rows[mapping[s]] |= 1 << mapping[e]
-    return tuple(new_rows), tuple(mapping)
+    return tuple([_row_key(key, n) | 1 << pos for pos, key in enumerate(keys)]), tuple(mapping)
 
 
 def canonical_labelling(a: PosetMatrix) -> tuple[PosetMatrix, Permutation]:

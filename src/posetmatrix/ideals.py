@@ -68,22 +68,28 @@ def _strictly_below(mask: int) -> int:
     operations, not the rows of its elements.
     """
     below = 0
-    for b, plane in enumerate(_bit_planes(mask.bit_length())):
-        below |= ((mask | below) & plane) >> (1 << b)
+    for shift, plane in _bit_planes((mask.bit_length() - 1).bit_length()):
+        below |= ((mask | below) & plane) >> shift
     return below
 
 
 @lru_cache(maxsize=None)
-def _bit_planes(n: int) -> tuple[int, ...]:
-    """For each bit b of the elements below n, the mask of the elements with bit b set."""
+def _bit_planes(count: int) -> tuple[tuple[int, int], ...]:
+    """For each bit b below count, 2**b and the mask of the elements below 2**count with bit b set.
+
+    Keyed by the bit count of a mask's elements, not by its bit length, so
+    the memo holds one entry per power of two.  A plane may reach past the
+    mask's top bit, where _strictly_below's operands have no bits.
+    """
     planes = []
-    for b in range((n - 1).bit_length()):
+    size = 1 << count
+    for b in range(count):
         run = 1 << b
         plane, width = ((1 << run) - 1) << run, 2 * run  # one period: run elements without bit b, run with it
-        while width < n:
+        while width < size:
             plane |= plane << width
             width *= 2
-        planes.append(plane & ((1 << n) - 1))
+        planes.append((run, plane))
     return tuple(planes)
 
 

@@ -404,6 +404,30 @@ def test_selftest_json(capsys):
     assert len(obj["checks"]) == 12
 
 
+def test_selftest_reports_failed_and_raising_checks(capsys, monkeypatch):
+    from posetmatrix import refdata
+
+    def failing():
+        return False, "wrong answer"
+
+    def raising():
+        raise ZeroDivisionError("division by zero")
+
+    checks = list(refdata.CHECKS)
+    monkeypatch.setattr(refdata, "CHECKS", tuple([("always-fails", failing)] + checks[1:]))
+    out = run_cli(capsys, "selftest", expect=1)
+    assert out.out.splitlines()[0] == "FAIL always-fails: wrong answer"
+    assert out.out.endswith("selftest: 11/12 checks passed\n")
+    obj = json.loads(run_cli(capsys, "selftest", "--format", "json", expect=1).out)
+    assert obj["ok"] is False and [c["ok"] for c in obj["checks"]] == [False] + [True] * 11
+
+    monkeypatch.setattr(refdata, "CHECKS", tuple(checks[:5] + [("raises", raising)] + checks[6:]))
+    lines = run_cli(capsys, "selftest", expect=1).out.splitlines()
+    assert lines[5] == "FAIL raises: raised ZeroDivisionError: division by zero"
+    assert all(line.startswith("ok   ") for line in lines[6:12])  # the checks after it still ran
+    assert lines[12] == "selftest: 11/12 checks passed"
+
+
 # ---- cache ----
 
 
@@ -429,6 +453,28 @@ def test_cache_corruption_recomputes(tmp_path, capsys):
     victim.write_text(json.dumps(entry))
     out = run_cli(capsys, *COUNTS_3, "--cache-dir", str(cache_dir))
     assert out.out == COUNTS_3_TEXT  # checksum mismatch forces recomputation
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "[" * 200000 + "]" * 200000,  # nested past the JSON parser's recursion limit
+        None,  # a well-formed entry with a valid checksum whose value lacks a count
+    ],
+    ids=["deep-nesting", "partial-value"],
+)
+def test_cache_corrupt_entry_is_a_miss(tmp_path, capsys, content):
+    from posetmatrix import __version__
+    from posetmatrix.cache import _checksum
+
+    if content is None:
+        value = {"poset_matrices": 7}
+        entry = {"key": "enumerate:n=3:emit=counts", "version": __version__, "value": value, "checksum": _checksum(value)}
+        content = json.dumps(entry)
+    (tmp_path / "enumerate-n-3-emit-counts.json").write_text(content)
+    out = run_cli(capsys, *COUNTS_3, "--cache-dir", str(tmp_path))
+    assert out.out == COUNTS_3_TEXT
+    assert "Traceback" not in out.err
 
 
 @pytest.mark.parametrize("below", ["sub", None])

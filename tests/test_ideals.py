@@ -8,6 +8,7 @@ import pytest
 
 from posetmatrix.bmatrix import identity, iter_bits
 from posetmatrix.ideals import (
+    _bit_planes,
     _count_by_halves,
     _count_by_quarters,
     _down_counts,
@@ -234,11 +235,24 @@ def test_strictly_below_matches_per_element_rows():
     rng = random.Random(4711)
     masks = list(range(1 << 12)) + [rng.getrandbits(32) for _ in range(500)]
     masks += [rng.getrandbits(200) for _ in range(200)]
+    masks += [rng.getrandbits(length) | 1 << length >> 1 for length in range(71) for _ in range(20)]
     for mask in masks:
         expected = 0
         for e in iter_bits(mask):
             expected |= _submask_row(e) ^ 1 << e
         assert _strictly_below(mask) == expected, mask
+
+
+def test_bit_planes_memo_holds_one_entry_per_power_of_two():
+    # One entry per mask bit length let outside input grow the memo without bound: 400 lengths
+    # from 65536 up held 400 plane tuples and raised peak RSS from 14 to 71 MB.
+    _bit_planes.cache_clear()
+    for length in range(1, 1025):
+        assert is_ideal((1 << length) - 1, length)
+    assert _bit_planes.cache_info().currsize == 11  # element bit counts 0..10
+    for length in range(65536, 65536 + 400):
+        assert is_ideal((1 << length) - 1, length)
+    assert _bit_planes.cache_info().currsize == 13
 
 
 def test_closure_of_a_high_element_builds_no_row_table():
