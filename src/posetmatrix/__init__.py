@@ -16,8 +16,10 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# Defined here, not in domination, so that `pm orbit --help` can show it without loading the search.
+# Defined here, not in domination and enumeration, so that `pm orbit --help` and the side check of
+# `pm enumerate --emit counts` run without loading the search.
 DEFAULT_ORBIT_BUDGET = 10**6
+MAX_CLASS_SIDE = 9
 
 _EXPORTS = {
     "bmatrix": (

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 
-from . import DEFAULT_ORBIT_BUDGET, __version__
+from . import DEFAULT_ORBIT_BUDGET, MAX_CLASS_SIDE, __version__
 
 
 class CliIOError(Exception):
@@ -202,32 +202,24 @@ def _is_counts(value) -> bool:
     )
 
 
-def _cmd_enumerate(args) -> int:
-    from .enumeration import (
-        MAX_CLASS_SIDE,
-        MAX_ENUM_SIDE,
-        _class_walk,
-        _walk,
-        count_isomorphism_classes,
-        count_poset_matrices,
-    )
+def _counts(n: int) -> dict:
+    """Both counts of side n, the value `pm enumerate --emit counts` caches; loads the search only when run."""
+    from .enumeration import count_isomorphism_classes, count_poset_matrices
 
+    return {"poset_matrices": count_poset_matrices(n), "isomorphism_classes": count_isomorphism_classes(n)}
+
+
+def _cmd_enumerate(args) -> int:
     n = args.n
     if args.emit == "counts":
         if n > MAX_CLASS_SIDE:
             raise ValueError(f"count emission includes class counts and supports n up to {MAX_CLASS_SIDE}")
-        value = _cached(
-            args,
-            f"enumerate:n={n}:emit=counts",
-            lambda: {
-                "poset_matrices": count_poset_matrices(n),
-                "isomorphism_classes": count_isomorphism_classes(n),
-            },
-            _is_counts,
-        )
+        value = _cached(args, f"enumerate:n={n}:emit=counts", lambda: _counts(n), _is_counts)
         text = f"poset matrices: {value['poset_matrices']}\nisomorphism classes: {value['isomorphism_classes']}"
         _emit(args, {"n": n, **value}, text)
         return 0
+    from .enumeration import MAX_ENUM_SIDE, _class_walk, _walk
+
     canonical = args.emit == "canonical"
     if not 0 <= n <= MAX_ENUM_SIDE:
         what = "canonical emission" if canonical else "enumeration"

@@ -5,11 +5,11 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .bmatrix import BoolMatrix, Permutation, _row_text, _Value
+from . import MAX_CLASS_SIDE
+from .bmatrix import BoolMatrix, Permutation, _Value
 from .posetcore import PosetMatrix, _check_orbit_vector, _dual_entries, realize
 
 MAX_ENUM_SIDE = 8
-MAX_CLASS_SIDE = 9
 MAX_CLASSIFY_SIDE = 5
 SAMPLE_INDEX_VECTORS = 8  # vectors each ClassReport lists, the first in combinations order
 
@@ -85,6 +85,12 @@ _MEMBERS: list[tuple[int, ...]] = [()]  # mask -> its set bits, ascending, for e
 for _e in range(MAX_CLASS_SIDE):
     _MEMBERS += [members + (_e,) for members in _MEMBERS]
 
+# width -> mask -> its row key: the mask's width bits reversed, so column 0 is most significant.  A
+# mask on width + 1 bits is one on width bits with bit width on top, which lands in the key's bit 0.
+_ROW_KEYS: list[list[int]] = [[0]]
+for _e in range(MAX_CLASS_SIDE):
+    _ROW_KEYS.append([key << 1 for key in _ROW_KEYS[_e]] + [key << 1 | 1 for key in _ROW_KEYS[_e]])
+
 
 def _search_tables(rows: tuple[int, ...], width: int) -> tuple[list[int], list[int], list[int]]:
     """Predecessor masks, successor masks and row keys on width columns of a poset-matrix row tuple's elements."""
@@ -93,12 +99,8 @@ def _search_tables(rows: tuple[int, ...], width: int) -> tuple[list[int], list[i
     for e, pred in enumerate(preds):
         for j in _MEMBERS[pred]:
             succs[j] |= 1 << e
-    return preds, succs, [_row_key(pred, width) for pred in preds]
-
-
-def _row_key(pred: int, width: int) -> int:
-    """Row key of a strict-predecessor mask in a side-width matrix: column 0 most significant."""
-    return int(_row_text(pred, width), 2)
+    keys = _ROW_KEYS[width]
+    return preds, succs, [keys[pred] for pred in preds]
 
 
 def _blocks(preds: list[int], succs: list[int]) -> tuple[list[int], list[int], int]:
@@ -217,7 +219,8 @@ def _canonical_rows(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, 
     mapping = [0] * n
     for pos, e in enumerate(order):
         mapping[e] = pos
-    return tuple([_row_key(key, n) | 1 << pos for pos, key in enumerate(keys)]), tuple(mapping)
+    masks = _ROW_KEYS[n]  # reversing a key's bits gives back its mask
+    return tuple([masks[key] | 1 << pos for pos, key in enumerate(keys)]), tuple(mapping)
 
 
 def canonical_labelling(a: PosetMatrix) -> tuple[PosetMatrix, Permutation]:
@@ -285,7 +288,7 @@ def _child_is_canonical(tables: tuple[list[int], list[int], list[int], list[int]
     """
     preds, succs, keys, most = tables
     n = len(preds)
-    key = _row_key(below, n + 1)
+    key = _ROW_KEYS[n + 1][below]
     if key < most[below.bit_length()]:
         return False
     child_succs = succs + [0]
@@ -309,13 +312,39 @@ def _class_walk(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         yield prefix, _canonical_lasts(prefix)
 
 
+def _superset_masks(width: int) -> list[int]:
+    """For each mask b below 2**width, its supermasks d below 2**width as one int with bit d set.
+
+    On width + 1 bits, a mask without the top bit has its width-bit
+    supermasks with and without the top bit (those shifted by 2**width),
+    and a mask with it only the shifted ones.
+    """
+    supersets = [1]
+    for w in range(width):
+        supersets = [up | up << (1 << w) for up in supersets] + [up << (1 << w) for up in supersets]
+    return supersets
+
+
 def count_poset_matrices(n: int) -> int:
-    """Number of n x n poset matrices: one per down-set of each (n-1)-row prefix of the walk."""
+    """Number of n x n poset matrices, from the walk two rows short of them.
+
+    Each (n-2)-row prefix with down-set list L has a child per b in L, and
+    that child's down-sets are L plus those of L that hold b, with the new
+    element added; so the prefix has |L| + #{d in L : d & b == b}
+    completions per b.  The supersets are counted as the bits of L's bit
+    set (bit d for each d in L) that lie in b's _superset_masks, so no
+    list is built for the last two levels.
+    """
     if not 0 <= n <= MAX_CLASS_SIDE:
         raise ValueError(f"matrix counting supports n in [0, {MAX_CLASS_SIDE}], got {n}")
-    if n == 0:
+    if n < 2:
         return 1
-    return sum(len(sets) for _, sets in _walk(n))
+    supersets = _superset_masks(n - 2)
+    total = 0
+    for _, sets in _walk(n - 1):
+        members = sum([1 << d for d in sets])
+        total += len(sets) ** 2 + sum([(members & supersets[b]).bit_count() for b in sets])
+    return total
 
 
 def count_isomorphism_classes(n: int) -> int:

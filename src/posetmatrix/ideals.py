@@ -289,22 +289,31 @@ def antichain_table(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...], str]
     """(antichain, ideal, fixed-point string) for every ideal, by antichain size then entries.
 
     Each row joins pieces of its two halves, each computed once: the
-    positions and text of f, and those of g and its maximal elements
-    shifted past the first half.
+    positions and text of f, the positions of each of f's maximal elements
+    that g leaves maximal, and those of g and its maximal elements shifted
+    past the first half.  Rows are built into one bucket per antichain
+    size, so only the buckets need sorting.
     """
     h, low, high = _halves(n)  # checks n before it sizes the tables
     tables = [_byte_positions(k) for k in range((n + 7) // 8)]
     highs = [(g, _positions(b << h, tables), _positions(g << h, tables), _row_text(g, n - h)) for g, b in high]
-    rows = []
+    buckets = [[] for _ in range(n + 1)]
     for f, a in low:
         ideal, text = _positions(f, tables), _row_text(f, h)
-        rows += [
-            (_positions(a & ~g, tables) + anti_hi, ideal + ideal_hi, text + text_hi)
-            for g, anti_hi, ideal_hi, text_hi in highs
-            if not g & ~f
-        ]
-    rows.sort(key=itemgetter(0))
-    rows.sort(key=lambda row: len(row[0]))
+        maximal = {}  # a & ~g -> its positions; few distinct masks occur per f
+        for g, anti_hi, ideal_hi, text_hi in highs:
+            if g & ~f:
+                continue
+            mask = a & ~g
+            anti_lo = maximal.get(mask)
+            if anti_lo is None:
+                anti_lo = maximal[mask] = _positions(mask, tables)
+            antichain = anti_lo + anti_hi
+            buckets[len(antichain)].append((antichain, ideal + ideal_hi, text + text_hi))
+    rows = []
+    for bucket in buckets:
+        bucket.sort(key=itemgetter(0))
+        rows += bucket
     return rows
 
 

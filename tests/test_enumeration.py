@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from posetmatrix import enumeration
-from posetmatrix.bmatrix import BoolMatrix, Permutation, identity, is_idempotent, permute_similar
+from posetmatrix.bmatrix import BoolMatrix, Permutation, _row_text, identity, is_idempotent, permute_similar
 from posetmatrix.enumeration import (
     MAX_ENUM_SIDE,
     _class_table,
@@ -281,6 +281,24 @@ def test_walk_of_side_0_yields_nothing():
 def test_tree_count_matches_enumeration():
     for n in range(8):
         assert count_poset_matrices(n) == sum(1 for _ in enumerate_poset_matrices(n))
+
+
+def test_count_matches_the_walk_one_row_short():
+    # the second route: one side-n matrix per down-set of each (n-1)-row prefix, lists built to the last level
+    for n in range(1, 9):
+        assert count_poset_matrices(n) == sum(len(sets) for _, sets in enumeration._walk(n)), n
+
+
+def test_superset_masks_hold_the_supermasks():
+    for width in range(8):
+        expected = [sum(1 << d for d in range(1 << width) if d & b == b) for b in range(1 << width)]
+        assert enumeration._superset_masks(width) == expected, width
+
+
+def test_row_keys_reverse_the_row_text():
+    assert len(enumeration._ROW_KEYS) == enumeration.MAX_CLASS_SIDE + 1
+    for width, keys in enumerate(enumeration._ROW_KEYS):
+        assert keys == [int("0" + _row_text(p, width), 2) for p in range(1 << width)], width
 
 
 def test_counts_pin_oeis():

@@ -126,6 +126,14 @@ def test_cache_loads_only_with_a_cache_directory(tmp_path):
     assert "posetmatrix.cache" in loaded_by(tmp_path, *argv, PM_CACHE_DIR=str(tmp_path / "env"))[1]
 
 
+def test_counts_cache_hit_loads_no_search(tmp_path):
+    argv = ("enumerate", "--n", "6", "--emit", "counts", "--cache-dir", str(tmp_path / "cache"))
+    assert "posetmatrix.enumeration" in loaded_by(tmp_path, *argv)[1]
+    code, modules = loaded_by(tmp_path, *argv)
+    assert code == 0
+    assert modules == {"posetmatrix", "posetmatrix.cli", "posetmatrix.cache"}
+
+
 def test_ideals_ignores_the_cache_directory(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("PM_CACHE_DIR", raising=False)
     cache_dir = tmp_path / "cache"
