@@ -8,7 +8,7 @@ i is in the subset.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterator, Sequence
 
 from .bmatrix import _integer_entries, _row_text, identity
@@ -27,6 +27,17 @@ def _check_mask(mask: int, n: int) -> int:
     return mask
 
 
+def _check_size(n: int, top: int, what: str) -> int:
+    """n as an int in [0, top]; what operator.index refuses (a float, a str, None) raises ValueError too."""
+    try:
+        size = index(n)
+    except TypeError:
+        size = None
+    if size is None or not 0 <= size <= top:
+        raise ValueError(f"{what} in [0, {top}], got {n!r}")
+    return size
+
+
 def principal_ideal(i: int, n: int) -> int:
     """Mask of everything at or below i in the support order: the submasks of i."""
     if not 0 <= i < n:
@@ -35,8 +46,22 @@ def principal_ideal(i: int, n: int) -> int:
 
 
 def is_ideal(mask: int, n: int) -> bool:
-    """True when mask is downward closed in the support order."""
-    return antichain_to_ideal(mask, n) == mask
+    """True when mask is downward closed in the support order, tested on lower covers.
+
+    The lower covers of x are x with one bit cleared, and for each bit b
+    (mask & plane_b) >> 2**b moves every element with bit b set to the one
+    below it without b; mask is an ideal when no plane moves an element out
+    of it.  This is exact: a proper submask of x is reached from x by
+    clearing its missing bits one at a time, each step a lower cover, so a
+    mask closed under single-bit clears holds every submask of its
+    elements.  Unlike the closure, no union is carried from plane to plane,
+    and the first plane that leaves mask answers.
+    """
+    mask = _check_mask(mask, n)
+    for shift, plane in _bit_planes((mask.bit_length() - 1).bit_length()):
+        if (mask & plane) >> shift & ~mask:
+            return False
+    return True
 
 
 def is_antichain(mask: int, n: int) -> bool:
@@ -121,8 +146,7 @@ def count_ideals(n: int) -> int:
     iter_ideals lists the same pairs; the tests keep a per-element walk and
     the fixed-point scan as the independent routes.
     """
-    if not 0 <= n <= MAX_COUNT_GROUND:
-        raise ValueError(f"ideal counting supports n in [0, {MAX_COUNT_GROUND}], got {n}")
+    n = _check_size(n, MAX_COUNT_GROUND, "ideal counting supports n")
     if n < 2:
         return n + 1
     m = (n - 1).bit_length() - 1
@@ -138,8 +162,11 @@ def iter_ideals(n: int) -> Iterator[int]:
     other n - 2**m elements with g inside f, so the ideals are listed f by
     f, and for each f every such g in order.  count_ideals sums over the
     same split; the tests keep a per-element walk as the second route.
+    Only the split's ideals are read: the maximal elements that _ideal_walk
+    pairs with them are left alone.
     """
-    return map(itemgetter(0), _ideal_walk(n))
+    h, low, high = _halves(n)  # checks n at the call, not at the first next()
+    return (f | g << h for f, _ in low for g, _ in high if not g & ~f)
 
 
 def _ideal_walk(n: int) -> list[tuple[int, int]]:
@@ -159,8 +186,7 @@ def _halves(n: int) -> tuple[int, Sequence[tuple[int, int]], Sequence[tuple[int,
     Below two elements there is nothing to split: the first half is all
     of them and the second is empty.
     """
-    if not 0 <= n <= MAX_COUNT_GROUND:
-        raise ValueError(f"ideal iteration supports n in [0, {MAX_COUNT_GROUND}], got {n}")
+    n = _check_size(n, MAX_COUNT_GROUND, "ideal iteration supports n")
     if n < 2:
         return n, ((0, 0), (1, 1))[: n + 1], ((0, 0),)
     m = (n - 1).bit_length() - 1
@@ -258,8 +284,7 @@ def count_fixed_points(n: int) -> int:
     Deliberately the slow route: an independent cross-check on count_ideals,
     not a second copy of it.
     """
-    if not 0 <= n <= MAX_SCAN_GROUND:
-        raise ValueError(f"fixed-point scans support n in [0, {MAX_SCAN_GROUND}], got {n}")
+    n = _check_size(n, MAX_SCAN_GROUND, "fixed-point scans support n")
     return sum(1 for x in range(1 << n) if is_fixed_point(x, n))
 
 
@@ -270,8 +295,7 @@ def dedekind(k: int) -> int:
     over the (k-2)-cube's ideals (Fidytek, Mostowski, Somla & Szepietowski,
     "Algorithms counting monotone Boolean functions", IPL 79, 2001).
     """
-    if not 0 <= k <= MAX_DEDEKIND_EXP:
-        raise ValueError(f"dedekind supports k in [0, {MAX_DEDEKIND_EXP}], got {k}")
+    k = _check_size(k, MAX_DEDEKIND_EXP, "dedekind supports k")
     return k + 2 if k < 2 else _count_by_quarters(k - 2)
 
 
@@ -294,7 +318,8 @@ def antichain_table(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...], str]
     past the first half.  Rows are built into one bucket per antichain
     size, so only the buckets need sorting.
     """
-    h, low, high = _halves(n)  # checks n before it sizes the tables
+    n = _check_size(n, MAX_COUNT_GROUND, "ideal iteration supports n")  # before it sizes the tables, as an int
+    h, low, high = _halves(n)
     tables = [_byte_positions(k) for k in range((n + 7) // 8)]
     highs = [(g, _positions(b << h, tables), _positions(g << h, tables), _row_text(g, n - h)) for g, b in high]
     buckets = [[] for _ in range(n + 1)]

@@ -193,6 +193,39 @@ def test_iter_ideals_checks_n_at_call():
             iter_ideals(n)
 
 
+@pytest.mark.parametrize("n", range(33))
+def test_iter_ideals_lists_the_walk_ideals(n):
+    # iter_ideals reads the split itself, so it and the (ideal, maxima) pairs share only _halves
+    assert list(iter_ideals(n)) == [ideal for ideal, _ in _ideal_walk(n)]
+
+
+class Size:
+    """A size that is not an int but converts through operator.index."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __index__(self):
+        return self.n
+
+
+@pytest.mark.parametrize("count", [count_ideals, iter_ideals, antichain_table, _ideal_walk, dedekind, count_fixed_points])
+@pytest.mark.parametrize("size", [3.0, "3", None, -1, 33])
+def test_sizes_must_be_integers_in_range(count, size):
+    # floats used to reach n.bit_length() or range() and fail with AttributeError or TypeError
+    with pytest.raises(ValueError, match=rf"supports? [nk] in \[0, \d+\], got {size!r}"):
+        count(size)
+
+
+def test_sizes_are_read_through_operator_index():
+    assert count_ideals(Size(5)) == IDEAL_COUNTS[5]
+    assert list(iter_ideals(Size(5))) == list(iter_ideals(5))
+    assert _ideal_walk(Size(5)) == _ideal_walk(5)
+    assert antichain_table(Size(5)) == TABLE_FIVE_ELEMENTS
+    assert dedekind(Size(3)) == DEDEKIND_NUMBERS[3]
+    assert count_fixed_points(Size(5)) == IDEAL_COUNTS[5]
+
+
 def test_is_ideal_against_naive():
     for n in range(9):
         naive = set(naive_ideals(n))
@@ -270,6 +303,41 @@ def test_closure_of_a_high_element_builds_no_row_table():
         timeout=10,
     )
     assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
+
+
+def test_is_ideal_matches_closure():
+    # The lower-cover test against the down-closure it replaced: random masks up to 200 bits,
+    # ideals with one element taken out (still ideals exactly when it was maximal), and
+    # single elements, which are ideals only at 0.
+    rng = random.Random(2026)
+    cases = [(length, rng.getrandbits(length)) for length in range(201) for _ in range(20)]
+    cases += [(length, antichain_to_ideal(rng.getrandbits(length) & rng.getrandbits(length), length)) for length in range(201)]
+    for n in (5, 8, 13, 16, 24, 32):
+        for ideal in rng.sample(list(iter_ideals(n)), min(count_ideals(n), 150)):
+            cases += [(n, ideal ^ 1 << e) for e in iter_bits(ideal)]
+    cases += [(k + 1, 1 << k) for k in range(300)]
+    closed = 0
+    for n, mask in cases:
+        expected = antichain_to_ideal(mask, n) == mask
+        assert is_ideal(mask, n) == expected, (n, mask)
+        closed += expected
+    assert 0 < closed < len(cases)
+
+
+def test_lower_cover_test_of_a_high_element_builds_no_row_table():
+    # As for is_antichain: one element at each of 16368..16383 takes at most 14 masked shifts, no row table.
+    code = (
+        "from posetmatrix.ideals import is_ideal\n"
+        "print(any(is_ideal(1 << k, k + 1) for k in range(16368, 16384)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20)),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_mask_bounds_checked():
