@@ -47,6 +47,17 @@ def _integer_entries(values: Iterable[int], what: str = "index vector entries") 
     return tuple(entries)
 
 
+def _check_size(n: int, top: int, what: str) -> int:
+    """n as an int in [0, top]; what operator.index refuses (a float, a str, None) raises ValueError too."""
+    try:
+        size = index(n)
+    except TypeError:
+        size = None
+    if size is None or not 0 <= size <= top:
+        raise ValueError(f"{what} in [0, {top}], got {n!r}")
+    return size
+
+
 class _Value:
     """Frozen value compared, hashed, shown and pickled as the tuple of its __slots__ values, stored by _set."""
 
@@ -89,8 +100,7 @@ class BoolMatrix(_Value):
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows: Iterable[int]) -> None:
-        if not 0 <= n <= MAX_SIDE:
-            raise ValueError(f"matrix side must be in [0, {MAX_SIDE}], got {n}")
+        n = _check_size(n, MAX_SIDE, "matrix side must be")
         rows = _integer_entries(rows, "matrix rows")
         if len(rows) != n:
             raise NotSquareError(f"expected {n} rows, got {len(rows)}")
@@ -164,6 +174,7 @@ class BoolMatrix(_Value):
 
 def identity(n: int) -> BoolMatrix:
     """The n x n identity matrix."""
+    n = _check_size(n, MAX_SIDE, "matrix side must be")
     return BoolMatrix(n, tuple(1 << i for i in range(n)))
 
 

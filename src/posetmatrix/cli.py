@@ -165,12 +165,11 @@ def _cmd_embed(args) -> int:
 
 def _cmd_induce(args) -> int:
     from .bmatrix import parse_index_vector
-    from .pascal import check_index_vector, induced_submatrix, pascal_matrix
-    from .posetcore import _check_ambient
+    from .pascal import induced_submatrix, pascal_matrix
+    from .posetcore import _ambient_entries
 
-    size = 1 << _check_ambient(args.n)
-    alpha = check_index_vector(parse_index_vector(args.alpha), size)
-    sub = induced_submatrix(pascal_matrix(size), alpha)
+    alpha, n = _ambient_entries(parse_index_vector(args.alpha), args.n)
+    sub = induced_submatrix(pascal_matrix(1 << n), alpha)
     _emit(args, sub.to_json_obj(), sub.to_text())
     return 0
 
@@ -218,12 +217,12 @@ def _cmd_enumerate(args) -> int:
         text = f"poset matrices: {value['poset_matrices']}\nisomorphism classes: {value['isomorphism_classes']}"
         _emit(args, {"n": n, **value}, text)
         return 0
+    from .bmatrix import _check_size
     from .enumeration import MAX_ENUM_SIDE, _class_walk, _walk
 
     canonical = args.emit == "canonical"
-    if not 0 <= n <= MAX_ENUM_SIDE:
-        what = "canonical emission" if canonical else "enumeration"
-        raise ValueError(f"{what} supports n in [0, {MAX_ENUM_SIDE}], got {n}")
+    what = "canonical emission" if canonical else "enumeration"
+    _check_size(n, MAX_ENUM_SIDE, f"{what} supports n")
     groups = _class_walk(n) if canonical else _walk(n)
     _write_records(n, "canonical_forms" if canonical else "matrices", groups, args.format == "json")
     return 0

@@ -15,7 +15,7 @@ from itertools import permutations
 from typing import Sequence
 
 from . import DEFAULT_ORBIT_BUDGET
-from .bmatrix import BoolMatrix, _Value, iter_bits
+from .bmatrix import BoolMatrix, _integer_entries, _Value, iter_bits
 from .pascal import _subset_rows
 from .posetcore import PosetMatrix, _check_orbit_vector, validate
 
@@ -159,7 +159,8 @@ def domination_orbit(alpha: Sequence[int], n: int, budget: int = DEFAULT_ORBIT_B
     runs out, possibly inside a class, the result carries exhausted=False
     and the members admitted so far (the start vector alone at budget 0).
     """
-    entries = _check_orbit_vector(alpha, n)
+    entries, n = _check_orbit_vector(alpha, n)
+    (budget,) = _integer_entries((budget,), "budgets")
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
     images = tuple(zip(*_column_tables(n)))  # images[r][k]: row mask r under column permutation k

@@ -6,7 +6,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from . import MAX_CLASS_SIDE
-from .bmatrix import BoolMatrix, Permutation, _Value
+from .bmatrix import BoolMatrix, Permutation, _check_size, _Value
 from .posetcore import PosetMatrix, _check_orbit_vector, _dual_entries, realize
 
 MAX_ENUM_SIDE = 8
@@ -60,8 +60,7 @@ def _poset_rows(n: int) -> Iterator[tuple[int, ...]]:
 
     A side out of range raises at the call, before anything is yielded.
     """
-    if not 0 <= n <= MAX_ENUM_SIDE:
-        raise ValueError(f"enumeration supports n in [0, {MAX_ENUM_SIDE}], got {n}")
+    n = _check_size(n, MAX_ENUM_SIDE, "enumeration supports n")
     if n == 0:
         return iter([()])
     top = 1 << (n - 1)
@@ -335,8 +334,7 @@ def count_poset_matrices(n: int) -> int:
     set (bit d for each d in L) that lie in b's _superset_masks, so no
     list is built for the last two levels.
     """
-    if not 0 <= n <= MAX_CLASS_SIDE:
-        raise ValueError(f"matrix counting supports n in [0, {MAX_CLASS_SIDE}], got {n}")
+    n = _check_size(n, MAX_CLASS_SIDE, "matrix counting supports n")
     if n < 2:
         return 1
     supersets = _superset_masks(n - 2)
@@ -349,8 +347,7 @@ def count_poset_matrices(n: int) -> int:
 
 def count_isomorphism_classes(n: int) -> int:
     """Number of isomorphism classes of n-element posets: one per canonical last of each canonical prefix."""
-    if not 0 <= n <= MAX_CLASS_SIDE:
-        raise ValueError(f"class counting supports n in [0, {MAX_CLASS_SIDE}], got {n}")
+    n = _check_size(n, MAX_CLASS_SIDE, "class counting supports n")
     if n == 0:
         return 1
     return sum(len(lasts) for _, lasts in _class_walk(n))
@@ -423,8 +420,7 @@ def _class_table(n: int) -> dict[tuple[int, ...], tuple[int, tuple[tuple[int, ..
 
 def classify_index_vectors(n: int) -> list[ClassReport]:
     """Partition all C(2**n, n) index vectors by the isomorphism class they realize."""
-    if not 0 <= n <= MAX_CLASSIFY_SIDE:
-        raise ValueError(f"classification supports n in [0, {MAX_CLASSIFY_SIDE}], got {n}")
+    n = _check_size(n, MAX_CLASSIFY_SIDE, "classification supports n")
     return [
         ClassReport(
             n=n,
@@ -439,9 +435,8 @@ def classify_index_vectors(n: int) -> list[ClassReport]:
 
 def pascal_class(alpha: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
     """Every index vector whose realization is isomorphic to alpha's, by exhaustive scan."""
-    if not 0 <= n <= MAX_CLASSIFY_SIDE:
-        raise ValueError(f"class scans support n in [0, {MAX_CLASSIFY_SIDE}], got {n}")
-    entries = _check_orbit_vector(alpha, n)
+    n = _check_size(n, MAX_CLASSIFY_SIDE, "class scans support n")
+    entries, _ = _check_orbit_vector(alpha, n)
     return _class_table(n)[_canonical_rows(realize(entries, n).rows)[0]][1]
 
 
@@ -454,8 +449,7 @@ def dual_class_check(n: int) -> bool:
     class of its own class, and no two classes share a dual class.  (The
     all-pairs statement gives the first condition, and then the second.)
     """
-    if not 0 <= n <= MAX_CLASSIFY_SIDE:
-        raise ValueError(f"class scans support n in [0, {MAX_CLASSIFY_SIDE}], got {n}")
+    n = _check_size(n, MAX_CLASSIFY_SIDE, "class scans support n")
     table = _class_table(n)
     class_of = {v: c for c, (_, members) in table.items() for v in members}
     dual_of = {c: class_of[_dual_entries(c, n)] for c in table}

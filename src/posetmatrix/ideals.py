@@ -8,10 +8,10 @@ i is in the subset.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import index, itemgetter
+from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .bmatrix import _integer_entries, _row_text, identity
+from .bmatrix import _check_size, _integer_entries, _row_text, identity
 from .pascal import _submask_row, check_index_vector, induced_submatrix, pascal_matrix
 
 MAX_COUNT_GROUND = 32
@@ -22,24 +22,17 @@ MAX_DEDEKIND_EXP = 7
 def _check_mask(mask: int, n: int) -> int:
     if not isinstance(mask, int):  # the check is on every conversion's path, so ints skip the normalization
         (mask,) = _integer_entries((mask,), "subset masks")
+    if n.__class__ is not int:
+        (n,) = _integer_entries((n,), "ground set sizes")
     if not (mask >= 0 and mask.bit_length() <= n):  # no 1 << n: n may be huge
         raise ValueError(f"subset mask {mask:#x} does not fit a ground set of size {n}")
     return mask
 
 
-def _check_size(n: int, top: int, what: str) -> int:
-    """n as an int in [0, top]; what operator.index refuses (a float, a str, None) raises ValueError too."""
-    try:
-        size = index(n)
-    except TypeError:
-        size = None
-    if size is None or not 0 <= size <= top:
-        raise ValueError(f"{what} in [0, {top}], got {n!r}")
-    return size
-
-
 def principal_ideal(i: int, n: int) -> int:
     """Mask of everything at or below i in the support order: the submasks of i."""
+    if i.__class__ is not int or n.__class__ is not int:
+        i, n = _integer_entries((i, n), "elements and ground set sizes")
     if not 0 <= i < n:
         raise ValueError(f"element {i} outside a ground set of size {n}")
     return _submask_row(i)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .bmatrix import MAX_SIDE, BoolMatrix, _integer_entries
+from .bmatrix import MAX_SIDE, BoolMatrix, _check_size, _integer_entries
 
 
 def support(t: int) -> int:
@@ -40,8 +40,7 @@ def _submask_row(i: int) -> int:
 @lru_cache(maxsize=None)
 def pascal_matrix(n: int) -> BoolMatrix:
     """The n x n matrix of binomials mod 2: entry (i, j) is C(i, j) mod 2."""
-    if not 0 <= n <= MAX_SIDE:
-        raise ValueError(f"pascal matrix side must be in [0, {MAX_SIDE}], got {n}")
+    n = _check_size(n, MAX_SIDE, "pascal matrix side must be")
     return BoolMatrix(n, tuple(_submask_row(i) for i in range(n)))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .bmatrix import BoolMatrix, _Value, flip_transpose
+from .bmatrix import BoolMatrix, _check_size, _Value, flip_transpose
 from .pascal import _subset_rows, check_index_vector
 
 # Embedded vectors index into the Pascal matrix of side 2**n; with rows held
@@ -19,19 +19,18 @@ from .pascal import _subset_rows, check_index_vector
 MAX_EMBED_LOG = 6
 
 
-def _check_ambient(n: int) -> int:
-    """n itself, once it is an ambient exponent in [0, MAX_EMBED_LOG]."""
-    if not 0 <= n <= MAX_EMBED_LOG:
-        raise ValueError(f"ambient exponent must be in [0, {MAX_EMBED_LOG}], got {n}")
-    return n
+def _ambient_entries(alpha: Sequence[int], n: int) -> tuple[tuple[int, ...], int]:
+    """(alpha, n) as an index vector in the Pascal matrix of side 2**n and an int ambient exponent in [0, MAX_EMBED_LOG]."""
+    n = _check_size(n, MAX_EMBED_LOG, "ambient exponent must be")
+    return check_index_vector(alpha, 1 << n), n
 
 
-def _check_orbit_vector(alpha: Sequence[int], n: int) -> tuple[int, ...]:
-    """alpha as a tuple, once it is an index vector of exactly n entries in the Pascal matrix of side 2**n."""
-    entries = check_index_vector(alpha, 1 << _check_ambient(n))
+def _check_orbit_vector(alpha: Sequence[int], n: int) -> tuple[tuple[int, ...], int]:
+    """_ambient_entries(alpha, n), once alpha has exactly n entries."""
+    entries, n = _ambient_entries(alpha, n)
     if len(entries) != n:
         raise ValueError(f"need exactly {n} entries, got {len(entries)}")
-    return entries
+    return entries, n
 
 
 class PosetValidationError(ValueError):
@@ -130,7 +129,7 @@ def realize(alpha: Sequence[int], ambient_log: int) -> PosetMatrix:
     Entry (i, j) is the subset test support(alpha[j]) <= support(alpha[i]);
     the result is always a valid poset matrix.
     """
-    entries = check_index_vector(alpha, 1 << _check_ambient(ambient_log))
+    entries, _ = _ambient_entries(alpha, ambient_log)
     return validate(BoolMatrix(len(entries), _subset_rows(entries)))
 
 
@@ -147,12 +146,13 @@ def _dual_entries(entries: Sequence[int], n: int) -> tuple[int, ...]:
 
 def dual_index(alpha: Sequence[int], n: int) -> tuple[int, ...]:
     """Index vector of the dual realization: complement each entry against 2**n - 1 and reverse."""
-    return _dual_entries(check_index_vector(alpha, 1 << _check_ambient(n)), n)
+    return _dual_entries(*_ambient_entries(alpha, n))
 
 
 def is_self_dual_index(alpha: Sequence[int], n: int) -> bool:
     """True when alpha equals its own dual: alpha[i] + alpha[k-1-i] = 2**n - 1 for all i."""
-    return dual_index(alpha, n) == check_index_vector(alpha, 1 << n)
+    entries, n = _ambient_entries(alpha, n)
+    return _dual_entries(entries, n) == entries
 
 
 def even_odd_moves(alpha: Sequence[int], n: int) -> frozenset[tuple[int, ...]]:
@@ -163,7 +163,7 @@ def even_odd_moves(alpha: Sequence[int], n: int) -> frozenset[tuple[int, ...]]:
     parity: no moves.  Every returned vector realizes an isomorphic poset
     in the same 2**n ambient.
     """
-    entries = check_index_vector(alpha, 1 << _check_ambient(n))
+    entries, _ = _ambient_entries(alpha, n)
     if not entries:
         return frozenset()
     if all(a % 2 == 0 for a in entries):

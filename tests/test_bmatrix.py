@@ -1,10 +1,12 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from posetmatrix.bmatrix import (
+    MAX_SIDE,
     BoolMatrix,
     _row_text,
     NotSquareError,
@@ -19,6 +21,36 @@ from posetmatrix.bmatrix import (
     permute,
     permute_similar,
 )
+from posetmatrix.domination import domination_orbit
+from posetmatrix.enumeration import (
+    MAX_CLASS_SIDE,
+    MAX_CLASSIFY_SIDE,
+    MAX_ENUM_SIDE,
+    classify_index_vectors,
+    count_isomorphism_classes,
+    count_poset_matrices,
+    dual_class_check,
+    enumerate_poset_matrices,
+    pascal_class,
+)
+from posetmatrix.ideals import (
+    MAX_COUNT_GROUND,
+    MAX_DEDEKIND_EXP,
+    MAX_SCAN_GROUND,
+    antichain_table,
+    antichain_to_ideal,
+    count_fixed_points,
+    count_ideals,
+    dedekind,
+    ideal_to_antichain,
+    is_antichain,
+    is_fixed_point,
+    is_ideal,
+    iter_ideals,
+    principal_ideal,
+)
+from posetmatrix.pascal import pascal_matrix
+from posetmatrix.posetcore import MAX_EMBED_LOG, dual_index, even_odd_moves, is_self_dual_index, realize
 
 
 def naive_bool_mul(a, b):
@@ -319,3 +351,63 @@ def test_index_vector_text_forms():
     assert format_index_vector(()) == ""
     with pytest.raises(ValueError):
         parse_index_vector("1,two")
+
+
+# ---- sizes, exponents and budgets ----
+
+
+class Size:
+    """A size that is not an int but converts through operator.index."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __index__(self):
+        return self.n
+
+
+# name -> (the entry point as a call on one size, the largest size it takes, or None
+# where no constant bounds it, and a size it takes)
+SIZE_ENTRY_POINTS = {
+    "BoolMatrix": (lambda n: BoolMatrix(n, (1, 3)), MAX_SIDE, 2),
+    "identity": (identity, MAX_SIDE, 3),
+    "pascal_matrix": (pascal_matrix, MAX_SIDE, 5),
+    "enumerate_poset_matrices": (lambda n: list(enumerate_poset_matrices(n)), MAX_ENUM_SIDE, 3),
+    "count_poset_matrices": (count_poset_matrices, MAX_CLASS_SIDE, 4),
+    "count_isomorphism_classes": (count_isomorphism_classes, MAX_CLASS_SIDE, 4),
+    "classify_index_vectors": (classify_index_vectors, MAX_CLASSIFY_SIDE, 2),
+    "pascal_class": (lambda n: pascal_class((1, 2), n), MAX_CLASSIFY_SIDE, 2),
+    "dual_class_check": (dual_class_check, MAX_CLASSIFY_SIDE, 2),
+    "realize": (lambda n: realize((1, 2), n), MAX_EMBED_LOG, 2),
+    "dual_index": (lambda n: dual_index((1, 2), n), MAX_EMBED_LOG, 2),
+    "is_self_dual_index": (lambda n: is_self_dual_index((1, 2), n), MAX_EMBED_LOG, 2),
+    "even_odd_moves": (lambda n: even_odd_moves((2,), n), MAX_EMBED_LOG, 2),
+    "domination_orbit": (lambda n: domination_orbit((1, 2), n), MAX_EMBED_LOG, 2),
+    "domination_orbit budget": (lambda b: domination_orbit((1, 2), 2, budget=b), None, 3),
+    "count_ideals": (count_ideals, MAX_COUNT_GROUND, 5),
+    "iter_ideals": (lambda n: list(iter_ideals(n)), MAX_COUNT_GROUND, 5),
+    "antichain_table": (antichain_table, MAX_COUNT_GROUND, 5),
+    "count_fixed_points": (count_fixed_points, MAX_SCAN_GROUND, 5),
+    "dedekind": (dedekind, MAX_DEDEKIND_EXP, 3),
+    "is_ideal": (lambda n: is_ideal(3, n), None, 3),
+    "is_antichain": (lambda n: is_antichain(3, n), None, 3),
+    "antichain_to_ideal": (lambda n: antichain_to_ideal(2, n), None, 3),
+    "ideal_to_antichain": (lambda n: ideal_to_antichain(3, n), None, 3),
+    "is_fixed_point": (lambda n: is_fixed_point(3, n), None, 3),
+    "principal_ideal element": (lambda i: principal_ideal(i, 5), None, 3),
+    "principal_ideal ground size": (lambda n: principal_ideal(1, n), None, 3),
+}
+
+
+@pytest.mark.parametrize("call, top, good", SIZE_ENTRY_POINTS.values(), ids=SIZE_ENTRY_POINTS.keys())
+def test_sizes_are_indices_in_range(call, top, good):
+    for bad in [3.0, "3", None, -1] + ([] if top is None else [top + 1]):
+        if top is not None:
+            message = rf"in \[0, {top}\], got {re.escape(repr(bad))}$"
+        elif bad == -1:
+            message = None
+        else:
+            message = rf"must be integers, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            call(bad)
+    assert call(Size(good)) == call(good)
