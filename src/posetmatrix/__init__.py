@@ -13,6 +13,7 @@ only the layers it runs.
 """
 
 from importlib import import_module
+from operator import index
 
 __version__ = "0.1.0"
 
@@ -20,6 +21,22 @@ __version__ = "0.1.0"
 # `pm enumerate --emit counts` run without loading the search.
 DEFAULT_ORBIT_BUDGET = 10**6
 MAX_CLASS_SIDE = 9
+
+
+def _check_size(n: int, top: int, what: str) -> int:
+    """n as an int in [0, top]; what operator.index refuses (a float, a str, None) raises ValueError too.
+
+    The one range check on sizes and exponents; it lives here so that a counts cache hit checks its side
+    without loading a layer.
+    """
+    try:
+        size = index(n)
+    except TypeError:
+        size = None
+    if size is None or not 0 <= size <= top:
+        raise ValueError(f"{what} in [0, {top}], got {n!r}")
+    return size
+
 
 _EXPORTS = {
     "bmatrix": (

@@ -11,6 +11,8 @@ from __future__ import annotations
 from operator import attrgetter, index
 from typing import Iterable, Iterator, Sequence
 
+from . import _check_size
+
 MAX_SIDE = 64
 
 
@@ -45,17 +47,6 @@ def _integer_entries(values: Iterable[int], what: str = "index vector entries") 
         except TypeError:
             raise ValueError(f"{what} must be integers, got {a!r}") from None
     return tuple(entries)
-
-
-def _check_size(n: int, top: int, what: str) -> int:
-    """n as an int in [0, top]; what operator.index refuses (a float, a str, None) raises ValueError too."""
-    try:
-        size = index(n)
-    except TypeError:
-        size = None
-    if size is None or not 0 <= size <= top:
-        raise ValueError(f"{what} in [0, {top}], got {n!r}")
-    return size
 
 
 class _Value:
@@ -109,6 +100,13 @@ class BoolMatrix(_Value):
             if not 0 <= row <= top:
                 raise ValueError(f"row {i} does not fit in {n} columns")
         self._set(n, rows)
+
+    @classmethod
+    def _trusted(cls, n: int, rows: tuple[int, ...]) -> "BoolMatrix":
+        """Matrix from rows the library built itself: an int side in range and a tuple of n ints below 2**n, not checked again."""
+        m = cls.__new__(cls)
+        m._set(n, rows)
+        return m
 
     def entry(self, i: int, j: int) -> int:
         """Entry (i, j) as 0 or 1."""
@@ -188,7 +186,7 @@ def bool_mul(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
         for k in iter_bits(row):
             acc |= b.rows[k]
         rows.append(acc)
-    return BoolMatrix(a.n, tuple(rows))
+    return BoolMatrix._trusted(a.n, tuple(rows))
 
 
 def is_idempotent(a: BoolMatrix) -> bool:
@@ -242,7 +240,7 @@ def permute(m: BoolMatrix, row_perm: Permutation, col_perm: Permutation) -> Bool
         for j in iter_bits(row):
             moved |= 1 << col_perm.mapping[j]
         rows[row_perm.mapping[i]] = moved
-    return BoolMatrix(m.n, tuple(rows))
+    return BoolMatrix._trusted(m.n, tuple(rows))
 
 
 def flip_transpose(a: BoolMatrix) -> BoolMatrix:
@@ -252,7 +250,7 @@ def flip_transpose(a: BoolMatrix) -> BoolMatrix:
     for i in range(n):
         for j in iter_bits(a.rows[i]):
             rows[n - 1 - j] |= 1 << (n - 1 - i)
-    return BoolMatrix(n, tuple(rows))
+    return BoolMatrix._trusted(n, tuple(rows))
 
 
 def parse_index_vector(text: str) -> tuple[int, ...]:

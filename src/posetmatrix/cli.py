@@ -18,7 +18,7 @@ import math
 import os
 import sys
 
-from . import DEFAULT_ORBIT_BUDGET, MAX_CLASS_SIDE, __version__
+from . import DEFAULT_ORBIT_BUDGET, MAX_CLASS_SIDE, __version__, _check_size
 
 
 class CliIOError(Exception):
@@ -211,13 +211,11 @@ def _counts(n: int) -> dict:
 def _cmd_enumerate(args) -> int:
     n = args.n
     if args.emit == "counts":
-        if n > MAX_CLASS_SIDE:
-            raise ValueError(f"count emission includes class counts and supports n up to {MAX_CLASS_SIDE}")
+        _check_size(n, MAX_CLASS_SIDE, "count emission supports n")
         value = _cached(args, f"enumerate:n={n}:emit=counts", lambda: _counts(n), _is_counts)
         text = f"poset matrices: {value['poset_matrices']}\nisomorphism classes: {value['isomorphism_classes']}"
         _emit(args, {"n": n, **value}, text)
         return 0
-    from .bmatrix import _check_size
     from .enumeration import MAX_ENUM_SIDE, _class_walk, _walk
 
     canonical = args.emit == "canonical"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cache
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Sequence
 
 from . import DEFAULT_ORBIT_BUDGET
@@ -96,7 +96,7 @@ def flip_entry(m: BoolMatrix, i: int, j: int) -> BoolMatrix:
         raise NotChangeableError(i, j)
     rows = list(m.rows)
     rows[i] ^= 1 << j
-    return BoolMatrix(m.n, tuple(rows))
+    return BoolMatrix._trusted(m.n, tuple(rows))
 
 
 def reduce_to_poset_matrix(m: BoolMatrix) -> PosetMatrix:
@@ -143,6 +143,27 @@ def _column_tables(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tables)
 
 
+def _tuple_order(states: set, n: int) -> tuple[tuple[int, ...], ...]:
+    """The row tuples in states (length n, rows below 2**n) as a tuple in tuple order; states is left empty.
+
+    Each state goes to the bucket of its first row, and each bucket is sorted
+    by bytes keys: rows are below 2**MAX_EMBED_LOG, so bytes compare as the
+    tuples do, but in C.  Emptying states before the sorts frees its table,
+    and one bucket's keys at a time keep the peak below one key per state.
+    """
+    if not n:  # the one state () has no first row
+        members = tuple(states)
+        states.clear()
+        return members
+    buckets = [[] for _ in range(1 << n)]
+    for state in states:
+        buckets[state[0]].append(state)
+    states.clear()
+    for bucket in buckets:
+        bucket.sort(key=bytes)
+    return tuple(chain.from_iterable(buckets))
+
+
 def domination_orbit(alpha: Sequence[int], n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitResult:
     """Breadth-first closure of alpha under column permutations and changeable flips, one column class at a time.
 
@@ -174,7 +195,8 @@ def domination_orbit(alpha: Sequence[int], n: int, budget: int = DEFAULT_ORBIT_B
         for image in map(tuple, map(sorted, permuted)):
             if image not in seen:
                 if len(seen) >= budget:
-                    return OrbitResult(entries, n, tuple(sorted(seen or [entries])), False, len(seen))
+                    visited = len(seen)
+                    return OrbitResult(entries, n, _tuple_order(seen or {entries}, n), False, visited)
                 seen.add(image)
         rows = list(state)
         for i, r in enumerate(state):
@@ -184,4 +206,5 @@ def domination_orbit(alpha: Sequence[int], n: int, budget: int = DEFAULT_ORBIT_B
                 if nxt not in seen:
                     queue.append(nxt)
             rows[i] = r
-    return OrbitResult(entries, n, tuple(sorted(seen)), True, len(seen))
+    visited = len(seen)
+    return OrbitResult(entries, n, _tuple_order(seen, n), True, visited)

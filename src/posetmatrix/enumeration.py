@@ -5,8 +5,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from . import MAX_CLASS_SIDE
-from .bmatrix import BoolMatrix, Permutation, _check_size, _Value
+from . import MAX_CLASS_SIDE, _check_size
+from .bmatrix import BoolMatrix, Permutation, _Value
 from .posetcore import PosetMatrix, _check_orbit_vector, _dual_entries, realize
 
 MAX_ENUM_SIDE = 8

@@ -11,7 +11,8 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .bmatrix import _check_size, _integer_entries, _row_text, identity
+from . import _check_size
+from .bmatrix import _integer_entries, _row_text, identity
 from .pascal import _submask_row, check_index_vector, induced_submatrix, pascal_matrix
 
 MAX_COUNT_GROUND = 32

@@ -5,7 +5,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .bmatrix import MAX_SIDE, BoolMatrix, _check_size, _integer_entries
+from . import _check_size
+from .bmatrix import MAX_SIDE, BoolMatrix, _integer_entries
 
 
 def support(t: int) -> int:

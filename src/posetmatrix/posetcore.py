@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .bmatrix import BoolMatrix, _check_size, _Value, flip_transpose
+from . import _check_size
+from .bmatrix import BoolMatrix, _Value, flip_transpose
 from .pascal import _subset_rows, check_index_vector
 
 # Embedded vectors index into the Pascal matrix of side 2**n; with rows held
@@ -130,7 +131,7 @@ def realize(alpha: Sequence[int], ambient_log: int) -> PosetMatrix:
     the result is always a valid poset matrix.
     """
     entries, _ = _ambient_entries(alpha, ambient_log)
-    return validate(BoolMatrix(len(entries), _subset_rows(entries)))
+    return validate(BoolMatrix._trusted(len(entries), _subset_rows(entries)))
 
 
 def dual(a: PosetMatrix) -> PosetMatrix:

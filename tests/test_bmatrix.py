@@ -21,7 +21,7 @@ from posetmatrix.bmatrix import (
     permute,
     permute_similar,
 )
-from posetmatrix.domination import domination_orbit
+from posetmatrix.domination import changeable_entries, domination_orbit, flip_entry
 from posetmatrix.enumeration import (
     MAX_CLASS_SIDE,
     MAX_CLASSIFY_SIDE,
@@ -141,6 +141,26 @@ def test_from_lists_ragged():
 def test_matrix_equality_and_hash():
     assert BoolMatrix(2, (1, 3)) == BoolMatrix(2, (1, 3))
     assert len({BoolMatrix(2, (1, 3)), BoolMatrix(2, (1, 3)), BoolMatrix(2, (1, 2))}) == 2
+
+
+def test_trusted_results_equal_checked_matrices():
+    # bool_mul, permute, flip_transpose, realize and flip_entry build their results unchecked
+    rng = random.Random(2808)
+    for _ in range(300):
+        n = rng.randrange(9)
+        a, b = random_matrix(rng, n), random_matrix(rng, n)
+        p, q = (Permutation(rng.sample(range(n), n)) for _ in range(2))
+        results = [bool_mul(a, b), permute(a, p, q), flip_transpose(a)]
+        if n <= MAX_EMBED_LOG:
+            alpha = sorted(rng.sample(range(1 << n), rng.randrange(min(1 << n, 12) + 1)))
+            results.append(realize(alpha, n).matrix)
+        flips = sorted(changeable_entries(a))
+        if flips:
+            results.append(flip_entry(a, *rng.choice(flips)))
+        for m in results:
+            checked = BoolMatrix(m.n, m.rows)
+            assert type(m.rows) is tuple and all(type(row) is int for row in m.rows)
+            assert m == checked and hash(m) == hash(checked)
 
 
 # ---- text and json forms ----

@@ -234,7 +234,10 @@ def test_enumerate_canonical_json(capsys):
 
 
 def test_enumerate_counts_bound(capsys):
-    run_cli(capsys, "enumerate", "--n", "10", "--emit", "counts", expect=1)
+    # one check for both ends of the range, before the cache is read
+    for n in ("-1", "10"):
+        err = run_cli(capsys, "enumerate", "--n", n, "--emit", "counts", expect=1).err
+        assert err == f"pm: count emission supports n in [0, 9], got {n}\n"
 
 
 @pytest.mark.parametrize("emit, field", [("matrices", "matrices"), ("canonical", "canonical_forms")])
@@ -552,8 +555,8 @@ GOLDEN = [
     ("enumerate --n 0 --emit counts", "", "json", 0, "91ebfb7184b087a3f0c08f3e871f471c46dee8c76e6fe1ec42dc277908ed13fd", EMPTY),
     ("enumerate --n 5 --emit counts", "", "text", 0, "8183f9423a4678bbc6282857de0375195a1af1a460d79664291a3fc489d1c6bf", EMPTY),
     ("enumerate --n 5 --emit counts", "", "json", 0, "1e7dfa884b6f1e32084114b597f41e6698193d4c1af113bae24c7abe73ee394b", EMPTY),
-    ("enumerate --n 10 --emit counts", "", "text", 1, EMPTY, "e28be9ed7f5b73e1a88e8b3f49e5ce60c5e927a3f6ee9fedfc48119e1bfb5fbb"),
-    ("enumerate --n 10 --emit counts", "", "json", 1, EMPTY, "e28be9ed7f5b73e1a88e8b3f49e5ce60c5e927a3f6ee9fedfc48119e1bfb5fbb"),
+    ("enumerate --n 10 --emit counts", "", "text", 1, EMPTY, "d4d1365a461a34c2c76736e1e3f24d417c9696664a6e9a8f38c7e86f398bdec5"),
+    ("enumerate --n 10 --emit counts", "", "json", 1, EMPTY, "d4d1365a461a34c2c76736e1e3f24d417c9696664a6e9a8f38c7e86f398bdec5"),
     ("enumerate", "", "text", 2, EMPTY, "178e8f913bd9e4218142329a9b2f47b86391cb178cc86a73111da8ef51f0f91c"),
     ("enumerate", "", "json", 2, EMPTY, "178e8f913bd9e4218142329a9b2f47b86391cb178cc86a73111da8ef51f0f91c"),
     ("canonical -", V_MATRIX, "text", 0, "0a5112d06fecaeaea7658f7c36a92e6a9f3090b98937e766c1a6010361759d1b", EMPTY),

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -9,6 +10,7 @@ from posetmatrix.bmatrix import BoolMatrix, Permutation, identity, permute
 from posetmatrix.domination import (
     NotChangeableError,
     _column_tables,
+    _tuple_order,
     changeable_entries,
     domination_orbit,
     domination_relations,
@@ -459,6 +461,33 @@ def test_orbit_budget_cut_across_column_classes_at_n5():
     assert set(domination_orbit(alpha, 5, budget=5).members) == column_class
 
 
+def test_tuple_order_sorts_like_tuples():
+    rng = random.Random(2828)
+    for n in range(7):
+        for size in (0, 1, 2, 50, 400):
+            states = {tuple(rng.randrange(1 << n) for _ in range(n)) for _ in range(size)}
+            want = tuple(sorted(states))
+            assert _tuple_order(states, n) == want, (n, size)
+            assert not states  # emptied before the buckets are sorted
+
+
+# The n = 4 base classes of the benchmark's orbit workload, and an n = 5 vector whose
+# first column class (5 states) ends inside the budgets.
+CUT_BASES = ((4, (0, 1, 2, 5)), (4, (1, 2, 3, 5)), (4, (0, 1, 2, 3)), (4, (2, 5, 9, 13)), (5, LARGE_STABILIZER_ALPHAS[0]))
+# SHA-256 of the reprs of (members, exhausted, states_visited) at budgets 0..300 of each, as sorted(seen) gave them
+CUT_RESULTS_SHA256 = "713603753307ef0711771752fa9b1a4660137460410a3bf378aba5fae1e7c0aa"
+
+
+def test_orbit_budget_cuts_are_in_tuple_order_and_pinned():
+    digest = hashlib.sha256()
+    for n, alpha in CUT_BASES:
+        for budget in range(301):
+            cut = domination_orbit(alpha, n, budget=budget)
+            assert list(cut.members) == sorted(cut.members), (alpha, budget)
+            digest.update(repr((cut.members, cut.exhausted, cut.states_visited)).encode())
+    assert digest.hexdigest() == CUT_RESULTS_SHA256
+
+
 def test_column_tables_permute_the_bits_of_every_row_mask():
     for n in range(7):
         tables = _column_tables(n)
@@ -479,6 +508,7 @@ def test_orbit_n6_is_closed_under_transpositions():
     result = domination_orbit(alpha, 6)
     assert result.exhausted
     assert len(result.members) == result.states_visited == 759_455
+    assert list(result.members) == sorted(result.members)
     members = set(result.members)
     assert alpha in members
     tables = [[swap_columns(r, c1, c2) for r in range(64)] for c1, c2 in itertools.combinations(range(6), 2)]
