@@ -265,4 +265,4 @@ def parse_index_vector(text: str) -> tuple[int, ...]:
 
 
 def format_index_vector(alpha: Iterable[int]) -> str:
-    return ",".join(str(a) for a in alpha)
+    return ",".join(map(str, alpha))

@@ -251,8 +251,8 @@ def _cmd_orbit(args) -> int:
     if args.format == "json":
         _emit(args, result.to_json_obj(), None)
         return 0
-    for member in result.members:  # one line at a time: the n = 6 orbit has 759 k members
-        print(format_index_vector(member))
+    # one line at a time: the n = 6 orbit has 759 k members
+    sys.stdout.writelines(format_index_vector(member) + "\n" for member in result.members)
     if not result.exhausted:
         print(
             f"pm: warning: budget hit after {result.states_visited} states; orbit may be incomplete",

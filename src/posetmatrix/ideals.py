@@ -137,8 +137,8 @@ def count_ideals(n: int) -> int:
     2**m elements and on the other n - 2**m (element 2**m + y sits above y),
     the second inside the first; so the count is the sum of |down f| over
     the ideals f of the m-cube, each cut to the first n - 2**m elements.
-    iter_ideals lists the same pairs; the tests keep a per-element walk and
-    the fixed-point scan as the independent routes.
+    iter_ideals lists the same pairs from the same table; the tests keep a
+    per-element walk and the fixed-point scan as the independent routes.
     """
     n = _check_size(n, MAX_COUNT_GROUND, "ideal counting supports n")
     if n < 2:
@@ -156,27 +156,18 @@ def iter_ideals(n: int) -> Iterator[int]:
     other n - 2**m elements with g inside f, so the ideals are listed f by
     f, and for each f every such g in order.  count_ideals sums over the
     same split; the tests keep a per-element walk as the second route.
-    Only the split's ideals are read: the maximal elements that _ideal_walk
+    Only the split's ideals are read: the maximal elements that _halves
     pairs with them are left alone.
     """
     h, low, high = _halves(n)  # checks n at the call, not at the first next()
     return (f | g << h for f, _ in low for g, _ in high if not g & ~f)
 
 
-def _ideal_walk(n: int) -> list[tuple[int, int]]:
-    """(ideal, its maximal elements) for every ideal, in iter_ideals order.
-
-    An x in f lies below 2**m + y exactly when x is a submask of y, and g
-    is downward closed, so x is covered from above by the second half
-    exactly when x is in g: the maximal elements are a & ~g | b << 2**m.
-    """
-    h, low, high = _halves(n)
-    return [(f | g << h, a & ~g | b << h) for f, a in low for g, b in high if not g & ~f]
-
-
 def _halves(n: int) -> tuple[int, Sequence[tuple[int, int]], Sequence[tuple[int, int]]]:
     """(h, the pairs of the first h elements, the pairs of the other n - h), h = 2**m < n <= 2**(m+1).
 
+    The other r = n - h elements' pairs are the m-cube's pairs whose ideal
+    lies below 2**r, in the same order and with the same maxima.
     Below two elements there is nothing to split: the first half is all
     of them and the second is empty.
     """
@@ -185,13 +176,13 @@ def _halves(n: int) -> tuple[int, Sequence[tuple[int, int]], Sequence[tuple[int,
         return n, ((0, 0), (1, 1))[: n + 1], ((0, 0),)
     m = (n - 1).bit_length() - 1
     h, cube = 1 << m, _cube_pairs(m)
-    return h, cube, cube if n == 2 * h else _ideal_walk(n - h)
+    return h, cube, [p for p in cube if not p[0] >> (n - h)]
 
 
 @lru_cache(maxsize=None)
 def _cube_pairs(m: int) -> tuple[tuple[int, int], ...]:
-    """The (ideal, maximal elements) pairs of the m-cube, the first half of every split."""
-    return tuple(_ideal_walk(1 << m))
+    """The (ideal, maximal elements) pairs of the m-cube, in the order of _down_counts, which is iter_ideals'."""
+    return tuple([(f, f & ~_strictly_below(f)) for f in _down_counts(m)])
 
 
 @lru_cache(maxsize=None)
@@ -309,8 +300,10 @@ def antichain_table(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...], str]
     Each row joins pieces of its two halves, each computed once: the
     positions and text of f, the positions of each of f's maximal elements
     that g leaves maximal, and those of g and its maximal elements shifted
-    past the first half.  Rows are built into one bucket per antichain
-    size, so only the buckets need sorting.
+    past the first half (x in f lies below h + y just when x is a submask
+    of y, so g, downward closed, leaves maximal the maxima of f outside g).
+    Rows are built into one bucket per antichain size, so only the buckets
+    need sorting.
     """
     n = _check_size(n, MAX_COUNT_GROUND, "ideal iteration supports n")  # before it sizes the tables, as an int
     h, low, high = _halves(n)

@@ -15,6 +15,8 @@ def support(t: int) -> int:
     The expansion is its own mask, so this is the identity on non-negative
     integers; it exists to make the subset reasoning explicit at call sites.
     """
+    if t.__class__ is not int:
+        (t,) = _integer_entries((t,), "support arguments")
     if t < 0:
         raise ValueError("support is defined for non-negative integers")
     return t
@@ -22,6 +24,8 @@ def support(t: int) -> int:
 
 def lucas_entry(i: int, j: int) -> int:
     """C(i, j) mod 2, by the subset test on binary supports."""
+    if i.__class__ is not int or j.__class__ is not int:
+        i, j = _integer_entries((i, j), "binomial arguments")
     if i < 0 or j < 0:
         raise ValueError("binomial arguments must be non-negative")
     return 0 if support(j) & ~support(i) else 1

@@ -49,7 +49,7 @@ from posetmatrix.ideals import (
     iter_ideals,
     principal_ideal,
 )
-from posetmatrix.pascal import pascal_matrix
+from posetmatrix.pascal import lucas_entry, pascal_matrix, support
 from posetmatrix.posetcore import MAX_EMBED_LOG, dual_index, even_odd_moves, is_self_dual_index, realize
 
 
@@ -416,6 +416,9 @@ SIZE_ENTRY_POINTS = {
     "is_fixed_point": (lambda n: is_fixed_point(3, n), None, 3),
     "principal_ideal element": (lambda i: principal_ideal(i, 5), None, 3),
     "principal_ideal ground size": (lambda n: principal_ideal(1, n), None, 3),
+    "support": (support, None, 3),
+    "lucas_entry i": (lambda i: lucas_entry(i, 1), None, 3),
+    "lucas_entry j": (lambda j: lucas_entry(3, j), None, 1),
 }
 
 

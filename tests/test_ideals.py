@@ -12,7 +12,7 @@ from posetmatrix.ideals import (
     _count_by_halves,
     _count_by_quarters,
     _down_counts,
-    _ideal_walk,
+    _halves,
     _strictly_below,
     _variable_orbits,
     antichain_table,
@@ -182,9 +182,11 @@ def test_iter_ideals_order_matches_recursion(n):
 
 @pytest.mark.parametrize("n", range(33))
 def test_split_carries_the_maximal_elements(n):
-    pairs = _ideal_walk(n)
-    assert [anti for _, anti in pairs] == [ideal_to_antichain(ideal, n) for ideal, _ in pairs]
-    assert pairs == list(walk_ideals(n))
+    # both halves come from the cube's pairs, the second filtered to its n - h elements;
+    # the per-element walk lists each half on its own
+    h, low, high = _halves(n)
+    assert list(low) == list(walk_ideals(h))
+    assert list(high) == list(walk_ideals(n - h))
 
 
 def test_iter_ideals_checks_n_at_call():
@@ -195,8 +197,7 @@ def test_iter_ideals_checks_n_at_call():
 
 @pytest.mark.parametrize("n", range(33))
 def test_iter_ideals_lists_the_walk_ideals(n):
-    # iter_ideals reads the split itself, so it and the (ideal, maxima) pairs share only _halves
-    assert list(iter_ideals(n)) == [ideal for ideal, _ in _ideal_walk(n)]
+    assert list(iter_ideals(n)) == [ideal for ideal, _ in walk_ideals(n)]
 
 
 class Size:
@@ -209,7 +210,7 @@ class Size:
         return self.n
 
 
-@pytest.mark.parametrize("count", [count_ideals, iter_ideals, antichain_table, _ideal_walk, dedekind, count_fixed_points])
+@pytest.mark.parametrize("count", [count_ideals, iter_ideals, antichain_table, _halves, dedekind, count_fixed_points])
 @pytest.mark.parametrize("size", [3.0, "3", None, -1, 33])
 def test_sizes_must_be_integers_in_range(count, size):
     # floats used to reach n.bit_length() or range() and fail with AttributeError or TypeError
@@ -220,7 +221,7 @@ def test_sizes_must_be_integers_in_range(count, size):
 def test_sizes_are_read_through_operator_index():
     assert count_ideals(Size(5)) == IDEAL_COUNTS[5]
     assert list(iter_ideals(Size(5))) == list(iter_ideals(5))
-    assert _ideal_walk(Size(5)) == _ideal_walk(5)
+    assert _halves(Size(5)) == _halves(5)
     assert antichain_table(Size(5)) == TABLE_FIVE_ELEMENTS
     assert dedekind(Size(3)) == DEDEKIND_NUMBERS[3]
     assert count_fixed_points(Size(5)) == IDEAL_COUNTS[5]
