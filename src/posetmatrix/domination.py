@@ -132,15 +132,18 @@ class OrbitResult(_Value):
 
 
 @cache
-def _column_tables(n: int) -> tuple[tuple[int, ...], ...]:
-    """The n! column permutations p, identity first, as tables: table[r] is row mask r with bit c moved to p[c]."""
+def _column_images(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each row mask r below 2**n, its images under the n! column permutations p, identity first.
+
+    images[r][k] is r with bit c moved to p[c], p the k-th permutation.
+    """
     tables = []
     for p in permutations(range(n)):
         t = [0] * (1 << n)
         for r in range(1, 1 << n):
             t[r] = t[r & (r - 1)] | 1 << p[(r & -r).bit_length() - 1]
-        tables.append(tuple(t))
-    return tuple(tables)
+        tables.append(t)
+    return tuple(zip(*tables))
 
 
 def _tuple_order(states: set, n: int) -> tuple[tuple[int, ...], ...]:
@@ -184,7 +187,7 @@ def domination_orbit(alpha: Sequence[int], n: int, budget: int = DEFAULT_ORBIT_B
     (budget,) = _integer_entries((budget,), "budgets")
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    images = tuple(zip(*_column_tables(n)))  # images[r][k]: row mask r under column permutation k
+    images = _column_images(n)
     seen = set()
     queue = deque([entries])  # alpha, then flips of class representatives that were not yet members
     while queue:

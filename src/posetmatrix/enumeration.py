@@ -228,8 +228,7 @@ def canonical_labelling(a: PosetMatrix) -> tuple[PosetMatrix, Permutation]:
     'Least' compares row-major bit strings, so column 0 weighs heaviest.
     The witness q satisfies permute_similar(a, q) == canonical.
     """
-    if a.n > MAX_ENUM_SIDE:
-        raise ValueError(f"canonical labelling supports n up to {MAX_ENUM_SIDE}, got {a.n}")
+    _check_size(a.n, MAX_ENUM_SIDE, "canonical labelling supports n")
     rows, mapping = _canonical_rows(a.rows)
     return PosetMatrix(BoolMatrix(a.n, rows)), Permutation(mapping)
 

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 from . import _check_size
 from .bmatrix import _integer_entries, _row_text, identity
-from .pascal import _submask_row, check_index_vector, induced_submatrix, pascal_matrix
+from .pascal import _submask_row, induced_submatrix, pascal_matrix
 
 MAX_COUNT_GROUND = 32
 MAX_SCAN_GROUND = 20
@@ -156,33 +156,25 @@ def iter_ideals(n: int) -> Iterator[int]:
     other n - 2**m elements with g inside f, so the ideals are listed f by
     f, and for each f every such g in order.  count_ideals sums over the
     same split; the tests keep a per-element walk as the second route.
-    Only the split's ideals are read: the maximal elements that _halves
-    pairs with them are left alone.
     """
     h, low, high = _halves(n)  # checks n at the call, not at the first next()
-    return (f | g << h for f, _ in low for g, _ in high if not g & ~f)
+    return (f | g << h for f in low for g in high if not g & ~f)
 
 
-def _halves(n: int) -> tuple[int, Sequence[tuple[int, int]], Sequence[tuple[int, int]]]:
-    """(h, the pairs of the first h elements, the pairs of the other n - h), h = 2**m < n <= 2**(m+1).
+def _halves(n: int) -> tuple[int, Iterable[int], Iterable[int]]:
+    """(h, the ideals of the first h elements, those of the other n - h), h = 2**m < n <= 2**(m+1).
 
-    The other r = n - h elements' pairs are the m-cube's pairs whose ideal
-    lies below 2**r, in the same order and with the same maxima.
-    Below two elements there is nothing to split: the first half is all
-    of them and the second is empty.
+    The first half's ideals are the m-cube's, the keys of _down_counts(m),
+    which are in iter_ideals' order; the other r = n - h elements' are the
+    cube's ideals below 2**r, in the same order.  Below two elements there
+    is nothing to split: the first half is all of them and the second is empty.
     """
     n = _check_size(n, MAX_COUNT_GROUND, "ideal iteration supports n")
     if n < 2:
-        return n, ((0, 0), (1, 1))[: n + 1], ((0, 0),)
+        return n, (0, 1)[: n + 1], (0,)
     m = (n - 1).bit_length() - 1
-    h, cube = 1 << m, _cube_pairs(m)
-    return h, cube, [p for p in cube if not p[0] >> (n - h)]
-
-
-@lru_cache(maxsize=None)
-def _cube_pairs(m: int) -> tuple[tuple[int, int], ...]:
-    """The (ideal, maximal elements) pairs of the m-cube, in the order of _down_counts, which is iter_ideals'."""
-    return tuple([(f, f & ~_strictly_below(f)) for f in _down_counts(m)])
+    h, cube = 1 << m, _down_counts(m)
+    return h, cube, [f for f in cube if not f >> (n - h)]
 
 
 @lru_cache(maxsize=None)
@@ -290,8 +282,8 @@ def identity_antichain_check(alpha, n: int) -> bool:
     Equivalent to alpha's entries being pairwise incomparable in the support
     order (an antichain); the empty vector passes.
     """
-    entries = check_index_vector(alpha, n)
-    return induced_submatrix(pascal_matrix(n), entries) == identity(len(entries))
+    sub = induced_submatrix(pascal_matrix(n), alpha)
+    return sub == identity(sub.n)
 
 
 def antichain_table(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...], str]]:
@@ -302,15 +294,18 @@ def antichain_table(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...], str]
     that g leaves maximal, and those of g and its maximal elements shifted
     past the first half (x in f lies below h + y just when x is a submask
     of y, so g, downward closed, leaves maximal the maxima of f outside g).
-    Rows are built into one bucket per antichain size, so only the buckets
-    need sorting.
+    The maxima are taken once per first-half ideal, as in
+    ideal_to_antichain; the second half's ideals are among them.  Rows are
+    built into one bucket per antichain size, so only the buckets need
+    sorting.
     """
     n = _check_size(n, MAX_COUNT_GROUND, "ideal iteration supports n")  # before it sizes the tables, as an int
     h, low, high = _halves(n)
+    maxima = {f: f & ~_strictly_below(f) for f in low}
     tables = [_byte_positions(k) for k in range((n + 7) // 8)]
-    highs = [(g, _positions(b << h, tables), _positions(g << h, tables), _row_text(g, n - h)) for g, b in high]
+    highs = [(g, _positions(maxima[g] << h, tables), _positions(g << h, tables), _row_text(g, n - h)) for g in high]
     buckets = [[] for _ in range(n + 1)]
-    for f, a in low:
+    for f, a in maxima.items():
         ideal, text = _positions(f, tables), _row_text(f, h)
         maximal = {}  # a & ~g -> its positions; few distinct masks occur per f
         for g, anti_hi, ideal_hi, text_hi in highs:

@@ -119,8 +119,7 @@ def embed(a: PosetMatrix) -> tuple[int, ...]:
     Entry i is row i read as an integer, so it satisfies
     2**i <= alpha[i] < 2**(i+1) and the vector is strictly increasing.
     """
-    if a.n > MAX_EMBED_LOG:
-        raise ValueError(f"embedding addresses a universe of 2**n entries; n must be at most {MAX_EMBED_LOG}")
+    _check_size(a.n, MAX_EMBED_LOG, "embedding supports n")
     return a.rows
 
 

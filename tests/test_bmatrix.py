@@ -26,6 +26,7 @@ from posetmatrix.enumeration import (
     MAX_CLASS_SIDE,
     MAX_CLASSIFY_SIDE,
     MAX_ENUM_SIDE,
+    canonical_labelling,
     classify_index_vectors,
     count_isomorphism_classes,
     count_poset_matrices,
@@ -50,7 +51,7 @@ from posetmatrix.ideals import (
     principal_ideal,
 )
 from posetmatrix.pascal import lucas_entry, pascal_matrix, support
-from posetmatrix.posetcore import MAX_EMBED_LOG, dual_index, even_odd_moves, is_self_dual_index, realize
+from posetmatrix.posetcore import MAX_EMBED_LOG, dual_index, embed, even_odd_moves, is_self_dual_index, realize, validate
 
 
 def naive_bool_mul(a, b):
@@ -434,3 +435,20 @@ def test_sizes_are_indices_in_range(call, top, good):
         with pytest.raises(ValueError, match=message):
             call(bad)
     assert call(Size(good)) == call(good)
+
+
+@pytest.mark.parametrize(
+    "call, top, message",
+    [
+        (canonical_labelling, MAX_ENUM_SIDE, "canonical labelling supports n in [0, 8], got 9"),
+        (embed, MAX_EMBED_LOG, "embedding supports n in [0, 6], got 7"),
+    ],
+)
+def test_matrix_sides_are_checked_in_range(call, top, message):
+    # these take a poset matrix, not a size, so the size check sees its side
+    def antichain(n):
+        return validate(BoolMatrix(n, tuple(1 << i for i in range(n))))
+
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(antichain(top + 1))
+    call(antichain(top))

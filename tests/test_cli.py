@@ -289,6 +289,19 @@ def test_enumerate_out_of_range_prints_nothing(capsys, emit, n):
     assert out.out == ""
 
 
+@pytest.mark.parametrize(
+    "command, n, err",
+    [
+        ("canonical", 9, "pm: canonical labelling supports n in [0, 8], got 9\n"),
+        ("embed", 7, "pm: embedding supports n in [0, 6], got 7\n"),
+    ],
+)
+def test_matrix_side_out_of_range_is_one_line(tmp_path, capsys, command, n, err):
+    path = write_matrix(tmp_path, "".join("0" * i + "1" + "0" * (n - 1 - i) + "\n" for i in range(n)))
+    out = run_cli(capsys, command, path, expect=1)
+    assert (out.out, out.err) == ("", err)
+
+
 def test_canonical_reports_witness(tmp_path, capsys):
     # 0 < 1 plus a point relabels to the canonical copy, which parks the pair last
     path = write_matrix(tmp_path, "100\n110\n001\n")

@@ -9,7 +9,7 @@ import pytest
 from posetmatrix.bmatrix import BoolMatrix, Permutation, identity, permute
 from posetmatrix.domination import (
     NotChangeableError,
-    _column_tables,
+    _column_images,
     _tuple_order,
     changeable_entries,
     domination_orbit,
@@ -448,7 +448,7 @@ def test_orbit_budget_cut_at_every_budget():
 def test_orbit_budget_cut_across_column_classes_at_n5():
     # budgets on both sides of the first class boundary (5) and of the orbit size
     alpha = LARGE_STABILIZER_ALPHAS[0]
-    column_class = {tuple(sorted(map(t.__getitem__, alpha))) for t in _column_tables(5)}
+    column_class = {tuple(sorted(map(t.__getitem__, alpha))) for t in zip(*_column_images(5))}
     assert len(column_class) == 5
     full = set(domination_orbit(alpha, 5).members)
     assert len(full) == 2144
@@ -490,7 +490,7 @@ def test_orbit_budget_cuts_are_in_tuple_order_and_pinned():
 
 def test_column_tables_permute_the_bits_of_every_row_mask():
     for n in range(7):
-        tables = _column_tables(n)
+        tables = list(zip(*_column_images(n)))
         assert len(tables) == math.factorial(n)
         assert tables[0] == tuple(range(1 << n))
         images_of_bits = [tuple(t[1 << c].bit_length() - 1 for c in range(n)) for t in tables]

@@ -182,11 +182,12 @@ def test_iter_ideals_order_matches_recursion(n):
 
 @pytest.mark.parametrize("n", range(33))
 def test_split_carries_the_maximal_elements(n):
-    # both halves come from the cube's pairs, the second filtered to its n - h elements;
-    # the per-element walk lists each half on its own
+    # both halves are the cube's ideals, the second filtered to its n - h elements; the
+    # per-element walk lists each half on its own. The maxima are antichain_table's, and
+    # test_antichain_table_matches_per_ideal_build checks them.
     h, low, high = _halves(n)
-    assert list(low) == list(walk_ideals(h))
-    assert list(high) == list(walk_ideals(n - h))
+    assert list(low) == [ideal for ideal, _ in walk_ideals(h)]
+    assert list(high) == [ideal for ideal, _ in walk_ideals(n - h)]
 
 
 def test_iter_ideals_checks_n_at_call():
