@@ -127,7 +127,9 @@ def _blocks(preds: list[int], succs: list[int]) -> tuple[list[int], list[int], i
     return blockers, unblocks, ready
 
 
-def _least_order(preds: list[int], succs: list[int], keys: list[int], stop: bool) -> list[int] | None:
+def _least_order(
+    preds: list[int], succs: list[int], keys: list[int], stop: bool, nodes: list[tuple[int, list[int]]] | None = None
+) -> list[int] | None:
     """A poset's elements in the order of its least relabelling, from their row keys; with stop, None unless that is the identity.
 
     Search over position assignments: a position can take any element
@@ -156,6 +158,11 @@ def _least_order(preds: list[int], succs: list[int], keys: list[int], stop: bool
     automorphism fixing every placed element, so a blocked twin's subtree
     repeats, key for key, that of the smaller twin, which is searched
     earlier; blocking drops no key sequence and no first least leaf.
+
+    With nodes, a list, the search appends (placed mask, path[:k]) at each
+    node it enters, in depth-first order.  On a canonical form, which no
+    order undercuts, those are its tie tree: every prefix of a linear
+    extension, twins in element order, whose keys tie the form's.
     """
     n = len(preds)
     top = 1 << n  # above every key
@@ -168,6 +175,8 @@ def _least_order(preds: list[int], succs: list[int], keys: list[int], stop: bool
     def walk(k: int, placed: int, ready: int) -> bool:
         """Search below path[:k]; True if stop and a smaller key turned up."""
         nonlocal lowered
+        if nodes is not None:
+            nodes.append((placed, path[:k]))
         if k == n:
             if lowered:
                 best[:] = path
@@ -253,41 +262,150 @@ def _canonical_lasts(rows: tuple[int, ...]) -> tuple[int, ...]:
     ask for the same forms again (counts for n = 0, 1, 2, ... in turn), so
     they are memoized; the memo holds the forms below the side asked for,
     never its leaves.
+
+    Each child takes the quick test of _child_is_canonical first, then the
+    verdict of the prefix's tie tree (_tie_verdict), and the bounded search
+    only where the tree cannot tell.  The tree lives for this call.
     """
     tables = _prefix_tables(rows)
-    return tuple(below for below in _down_sets(rows) if _child_is_canonical(tables, below))
+    keys = tables[2]
+    last = keys[-1] if keys else 0
+    row_keys = _ROW_KEYS[len(rows) + 1]
+    nodes, twins = _tie_tree(tables)
+    lasts = []
+    for below in _down_sets(rows):
+        key = row_keys[below]
+        if key < last:
+            continue
+        verdict = _tie_verdict(nodes, twins, keys, below, key)
+        if verdict or verdict is None and _child_is_canonical(tables, below):
+            lasts.append(below)
+    return tuple(lasts)
 
 
-def _prefix_tables(rows: tuple[int, ...]) -> tuple[list[int], list[int], list[int], list[int]]:
-    """_search_tables of rows's elements, with keys on len(rows) + 1 bits, and most[p], the largest key at p or later.
+def _prefix_tables(rows: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
+    """_search_tables of a canonical form's elements with keys on len(rows) + 1 columns, those of a child.
 
-    The keys are those of a child, so that a child's tables add only its
-    new element.
+    So a child's tables add only its new element.
     """
-    n = len(rows)
-    preds, succs, keys = _search_tables(rows, n + 1)
-    most = [0] * (n + 1)
-    for p in range(n - 1, -1, -1):
-        most[p] = max(most[p + 1], keys[p])
-    return preds, succs, keys, most
+    return _search_tables(rows, len(rows) + 1)
 
 
-def _child_is_canonical(tables: tuple[list[int], list[int], list[int], list[int]], below: int) -> bool:
+def _tie_tree(tables: tuple[list[int], list[int], list[int]]) -> tuple[list[tuple[int, int, list[int], int]], list[int]]:
+    """The deciding nodes of a canonical form's tie tree, given its _prefix_tables, and the masks of its twin classes of two or more.
+
+    The bounded search on the form alone, with its keys on the form's own
+    width (one bit narrower), records the tree: it never stops, and its
+    nodes are the prefixes of linear extensions, twins in element order,
+    whose keys tie the form's.  _tie_verdict needs only the nodes that end
+    a path (leaves and dead ends) and those at depth len(rows) - 1.  Each
+    is (depth t, placed mask, bits, after): bits[e] is placed element e's
+    bit in a row key on len(rows) + 1 columns, so the new element's key at
+    the node is the sum of its predecessors' bits, and at depth
+    len(rows) - 1, after is the key the one element left would take last.
+    """
+    preds, succs, keys = tables
+    m = len(preds)
+    found: list[tuple[int, list[int]]] = []
+    _least_order(preds, succs, [key >> 1 for key in keys], True, found)
+    depths = [len(order) for _, order in found]
+    nodes = []
+    for (placed, order), t, next_t in zip(found, depths, depths[1:] + [0]):
+        if t < m - 1 and next_t > t:
+            continue  # its first child follows it
+        bits = [0] * m
+        for pos, e in enumerate(order):
+            bits[e] = 1 << (m - pos)
+        after = 0
+        if t == m - 1:
+            left = ((1 << m) - 1 ^ placed).bit_length() - 1
+            after = sum([bits[j] for j in _MEMBERS[preds[left]]])
+        nodes.append((t, placed, bits, after))
+    classes: dict[tuple[int, int], int] = {}
+    for e, pred in enumerate(preds):
+        classes[pred, succs[e]] = classes.get((pred, succs[e]), 0) | 1 << e
+    return nodes, [c for c in classes.values() if c & (c - 1)]
+
+
+def _tie_verdict(nodes: list[tuple[int, int, list[int], int]], twins: list[int], keys: list[int], below: int, key: int) -> bool | None:
+    """Whether rows + (below | top,) is canonical, from the prefix's _tie_tree; None where the tree cannot tell.
+
+    Every order of the child places the new element x at some depth t
+    after a prefix order of rows.  If that prefix does not tie rows's
+    keys, the order is larger before t, as rows is canonical; if it ties,
+    it is a tree node up to a permutation of twins, and x's key there is
+    read from the node's positions.  A twin class c that below splits
+    holds x's predecessors among its |below & c| largest members, or
+    swapping twins lowers x's own row (the key of a set drops as its
+    members move later); at a node these predecessors can be any of the
+    placed members of c, which take c's smallest positions in element
+    order, and the latest of them give the least key.  That least key is
+    compared with the key at t: that of rows, or key itself at
+    t = len(rows).  Lower rejects the child.
+
+    Down a path x's least key never rises (its predecessors keep their
+    positions, and a split class's part moves to later members), while
+    the keys of a canonical form never fall (element t + 1 would
+    otherwise go before t, or holds t and so every predecessor of t).  So
+    the deepest node of a path below the last depth decides for the nodes
+    above it, and _tie_tree keeps only those and the leaves.  A tie at
+    depth len(rows) - 1 leaves one element to follow x, whose key, after,
+    is compared with key; unless the last two keys of rows are equal, as
+    then the tie may start higher up.  Any other tie leaves the rest of
+    the order to decide: None, for the bounded search.
+    """
+    m = len(keys)
+    split = []
+    rest = below
+    for c in twins:
+        part = below & c
+        if part and part != c:
+            b = part.bit_count()
+            if part != c & -(1 << _MEMBERS[c][-b]):
+                return False
+            split.append((c, b))
+            rest ^= part
+    tied = False
+    members = _MEMBERS[rest]
+    for t, placed, bits, after in nodes:
+        if rest & ~placed:
+            continue
+        k = sum([bits[e] for e in members])
+        for c, b in split:
+            own = _MEMBERS[placed & c]
+            if len(own) < b:
+                break
+            k += sum([bits[e] for e in own[-b:]])
+        else:
+            if t == m:
+                if k < key:
+                    return False
+            elif k < keys[t]:
+                return False
+            elif k == keys[t]:
+                if t < m - 1 or t and keys[t - 1] == keys[t]:
+                    tied = True
+                elif after < key:
+                    return False
+    return None if tied else True
+
+
+def _child_is_canonical(tables: tuple[list[int], list[int], list[int]], below: int) -> bool:
     """Whether rows + (below | 1 << n,) is canonical, given _prefix_tables(rows).
 
-    A quick test rejects most non-canonical children without a search.
-    The new element may be inserted at any position p from
-    below.bit_length() on, the rows before p kept; if the element at p has
-    a larger row key than below there, that is a smaller relabelling.
-    Both rows have bit p set and nothing above it, so they compare by
-    their keys.  Otherwise the bounded search decides, on fresh copies of
-    the prefix's tables with the new element added as a successor of
-    below's members; it never writes to the prefix's own.
+    A quick test rejects about half of the children without a search: if
+    below's key is less than the last row's, inserting the new element
+    just before the last one is a smaller relabelling (below then misses
+    the last element, whose down-set would give a larger key).  On a
+    canonical form, whose keys never fall (_tie_verdict), no other
+    insertion point rejects more.  Otherwise the bounded search decides,
+    on fresh copies of the prefix's tables with the new element added as
+    a successor of below's members; it never writes to the prefix's own.
     """
-    preds, succs, keys, most = tables
+    preds, succs, keys = tables
     n = len(preds)
     key = _ROW_KEYS[n + 1][below]
-    if key < most[below.bit_length()]:
+    if keys and key < keys[-1]:
         return False
     child_succs = succs + [0]
     for j in _MEMBERS[below]:

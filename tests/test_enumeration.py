@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -487,9 +488,70 @@ def test_deciding_children_leaves_the_prefix_tables_as_they_were():
     for n in range(7):
         for rows in class_forms(n):
             tables = enumeration._prefix_tables(rows)
+            enumeration._tie_tree(tables)
             for below in enumeration._down_sets(rows):
                 enumeration._child_is_canonical(tables, below)
             assert tables == enumeration._prefix_tables(rows), rows
+
+
+def tie_tree_verdicts(prefixes):
+    """(accepted children, disagreements) of _canonical_lasts, unmemoized, against _child_is_canonical alone, over every child."""
+    accepted, wrong = 0, []
+    for rows in prefixes:
+        tables = enumeration._prefix_tables(rows)
+        lasts = enumeration._canonical_lasts.__wrapped__(rows)
+        accepted += len(lasts)
+        if list(lasts) != [below for below in enumeration._down_sets(rows) if enumeration._child_is_canonical(tables, below)]:
+            wrong.append(rows)
+    return accepted, wrong
+
+
+def test_tie_tree_verdicts_match_the_bounded_search_on_side_8_children():
+    accepted, wrong = tie_tree_verdicts(random.Random(3131).sample(class_forms(7), 300))
+    assert wrong == []
+    assert accepted > 0
+
+
+@pytest.mark.slow
+def test_tie_tree_verdicts_match_the_bounded_search_on_every_side_9_child():
+    accepted, wrong = tie_tree_verdicts(class_forms(8))
+    assert wrong == []
+    assert accepted == A000112[9]
+
+
+def test_bounded_search_decides_few_side_7_children(monkeypatch):
+    # a tie-tree rule that always deferred to the bounded search would pass every exactness test
+    searched = []
+    bounded = enumeration._child_is_canonical
+    monkeypatch.setattr(enumeration, "_child_is_canonical", lambda tables, below: searched.append(below) or bounded(tables, below))
+    passing = 0
+    for rows in class_forms(6):
+        keys = enumeration._prefix_tables(rows)[2]
+        passing += sum(enumeration._ROW_KEYS[7][below] >= keys[-1] for below in enumeration._down_sets(rows))
+        enumeration._canonical_lasts.__wrapped__(rows)
+    assert passing == 2880
+    assert 0 < len(searched) < passing / 2
+
+
+def test_canonical_form_keys_never_fall():
+    # the quick test compares with the last row's key only, and the tie tree reads each path's deepest node only
+    for n in range(8):
+        for rows in class_forms(n):
+            keys = enumeration._prefix_tables(rows)[2]
+            assert keys == sorted(keys), rows
+
+
+def test_tie_tree_leaves_count_the_automorphisms():
+    # each leaf is an automorphism up to the order of twins, which the search keeps in element order
+    forms = [rows for n in range(7) for rows in class_forms(n)]
+    assert len(forms) == 406
+    for rows in forms:
+        nodes, twins = enumeration._tie_tree(enumeration._prefix_tables(rows))
+        leaves = sum(t == len(rows) for t, *_ in nodes)
+        swaps = 1
+        for c in twins:
+            swaps *= math.factorial(c.bit_count())
+        assert leaves * swaps == automorphism_count(rows), rows
 
 
 def test_full_search_lowers_the_keys_to_the_least_forms():
