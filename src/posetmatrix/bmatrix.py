@@ -121,6 +121,8 @@ class BoolMatrix(_Value):
 
     def entry(self, i: int, j: int) -> int:
         """Entry (i, j) as 0 or 1."""
+        if i.__class__ is not int or j.__class__ is not int:
+            i, j = _integer_entries((i, j), "entry positions")
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise IndexError(f"entry ({i}, {j}) outside a {self.n}x{self.n} matrix")
         return self.rows[i] >> j & 1
@@ -153,10 +155,14 @@ class BoolMatrix(_Value):
                 raise NotSquareError(f"{n} rows but a row of {len(line)} characters")
             if set(line) - {"0", "1"}:
                 raise ValueError(f"matrix rows may only contain 0 and 1: {line!r}")
-            rows.append(sum(1 << j for j, ch in enumerate(line) if ch == "1"))
+            rows.append(int(line[::-1], 2))
         return cls(n, tuple(rows))
 
     def row_string(self, i: int) -> str:
+        if i.__class__ is not int:
+            (i,) = _integer_entries((i,), "row positions")
+        if not 0 <= i < self.n:
+            raise IndexError(f"row {i} outside a {self.n}x{self.n} matrix")
         return _row_text(self.rows[i], self.n)
 
     def to_text(self) -> str:
@@ -228,6 +234,10 @@ class Permutation(_Value):
         return cls(tuple(range(n)))
 
     def __call__(self, i: int) -> int:
+        if i.__class__ is not int:
+            (i,) = _integer_entries((i,), "permutation points")
+        if not 0 <= i < len(self.mapping):
+            raise IndexError(f"point {i} outside a permutation of {len(self.mapping)} points")
         return self.mapping[i]
 
     def inverse(self) -> "Permutation":

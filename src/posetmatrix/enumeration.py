@@ -203,6 +203,7 @@ def _least_order(preds: list[int], succs: list[int], keys: list[int], nodes: lis
                 carried[s] ^= bit
 
     walk(0, 0, ready)
+    del walk  # walk reads itself through its closure cell; dropping it frees the search by reference counting
     return best
 
 
@@ -543,4 +544,9 @@ def dual_class_check(n: int) -> bool:
     dual_of = {c: class_of[_dual_entries(c, n)] for c in table}
     if len(set(dual_of.values())) != len(dual_of):
         return False
-    return all(class_of[_dual_entries(v, n)] == dual_of[c] for c, (_, members) in table.items() for v in members)
+    for c, (_, members) in table.items():
+        dual = dual_of[c]
+        for v in members:
+            if class_of[_dual_entries(v, n)] != dual:
+                return False
+    return True

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import lt
 from typing import Iterable, Sequence
 
 from . import _check_size
@@ -71,7 +72,7 @@ def support_poset_matrix(n: int) -> BoolMatrix:
 def check_index_vector(alpha: Iterable[int], universe: int) -> tuple[int, ...]:
     """Normalize alpha to a tuple of ints; entries must be strictly increasing and lie in [0, universe)."""
     entries = _integer_entries(alpha)
-    if any(b <= a for a, b in zip(entries, entries[1:])):
+    if not all(map(lt, entries, entries[1:])):
         raise ValueError(f"index vector must be strictly increasing: {entries}")
     if entries and not (0 <= entries[0] and entries[-1] < universe):
         raise ValueError(f"index vector entries must lie in [0, {universe}): {entries}")

@@ -141,7 +141,7 @@ def dual(a: PosetMatrix) -> PosetMatrix:
 def _dual_entries(entries: Sequence[int], n: int) -> tuple[int, ...]:
     """dual_index of entries already known to be an index vector in the Pascal matrix of side 2**n."""
     top = (1 << n) - 1
-    return tuple(top - a for a in reversed(entries))
+    return tuple([top - a for a in reversed(entries)])
 
 
 def dual_index(alpha: Sequence[int], n: int) -> tuple[int, ...]:

@@ -111,6 +111,35 @@ def test_entry_out_of_range():
         m.entry(0, -1)
 
 
+@pytest.mark.parametrize("bad", [1.0, "1", None])
+def test_positions_must_be_integers(bad):
+    # 1.0 raised "tuple indices must be integers" and "1" a comparison TypeError
+    m = identity(2)
+    with pytest.raises(ValueError, match=f"entry positions must be integers, got {bad!r}$"):
+        m.entry(bad, 0)
+    with pytest.raises(ValueError, match=f"entry positions must be integers, got {bad!r}$"):
+        m.entry(0, bad)
+    with pytest.raises(ValueError, match=f"row positions must be integers, got {bad!r}$"):
+        m.row_string(bad)
+    with pytest.raises(ValueError, match=f"permutation points must be integers, got {bad!r}$"):
+        Permutation((1, 0))(bad)
+
+
+@pytest.mark.parametrize("i", [-1, -2, 2])
+def test_positions_out_of_range(i):
+    # negative positions wrapped round: row_string(-1) gave the last row and Permutation((1, 0))(-1) gave 0
+    m = BoolMatrix(2, (1, 3))
+    with pytest.raises(IndexError, match=f"row {i} outside a 2x2 matrix$"):
+        m.row_string(i)
+    with pytest.raises(IndexError, match=f"point {i} outside a permutation of 2 points$"):
+        Permutation((1, 0))(i)
+
+
+def test_bool_positions_read_as_integers():
+    m = BoolMatrix(2, (1, 3))
+    assert [m.row_string(True), m.entry(True, False), Permutation((1, 0))(True)] == ["11", 1, 0]
+
+
 def test_row_count_mismatch():
     with pytest.raises(NotSquareError):
         BoolMatrix(3, (1, 2))
@@ -194,6 +223,22 @@ def test_text_rejects_bad_characters_and_ragged_rows():
         BoolMatrix.from_text("10\n1x")
     with pytest.raises(NotSquareError):
         BoolMatrix.from_text("10\n110")
+
+
+def rows_by_characters(text):
+    """Row masks of the text form read one character at a time, column 0 first."""
+    lines = [line.strip().replace(" ", "") for line in text.splitlines()]
+    return tuple(sum(1 << j for j, ch in enumerate(line) if ch == "1") for line in lines if line)
+
+
+def test_from_text_matches_per_character_reading():
+    rng = random.Random(34)
+    for n in range(65):
+        m = random_matrix(rng, n)
+        text = m.to_text()
+        spaced = "\n".join(" ".join(line) for line in text.splitlines())
+        for form in (text, spaced):
+            assert BoolMatrix.from_text(form).rows == rows_by_characters(form) == m.rows
 
 
 def test_empty_text_is_empty_matrix():

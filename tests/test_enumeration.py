@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import inspect
 import itertools
@@ -388,6 +389,27 @@ def test_twin_pruning_keeps_form_and_witness():
         assert enumeration._canonical_rows(rows) == unpruned_canonical_rows(rows), rows
 
 
+def test_searches_leave_no_cyclic_garbage():
+    # the search's recursive helper reads itself through its closure; each search left 21 objects to the collector
+    rng = random.Random(34)
+    posets = [validate(BoolMatrix(n, random_poset_rows(rng, n))) for n in range(5, 9) for _ in range(5)]
+    forms = class_forms(5)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for a in posets:
+            canonical_labelling(a)
+        for rows in forms:
+            enumeration._canonical_lasts.__wrapped__(rows)
+        _class_table.__wrapped__(3)
+        dual_class_check(3)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_canonical_form_is_idempotent_map():
     for a in enumerate_poset_matrices(5):
         c = canonical_form(a)
@@ -727,6 +749,19 @@ def test_dual_class_check_fails_on_a_wrong_dual_map(monkeypatch):
     monkeypatch.setattr(enumeration, "_dual_entries", lambda v, n: v if v in forms else dual_index(v, n))
     assert not dual_class_check(3)
     assert not dual_class_check(4)
+
+
+def test_dual_class_check_refuses_fake_tables(monkeypatch):
+    # side 2: dual_index maps 01<->23, 02<->13 and fixes 03 and 12; each table maps form -> (count, vectors)
+    def table(*classes):
+        return {vectors[0]: (1, vectors) for vectors in classes}
+
+    fine = table(((0, 1), (0, 2)), ((2, 3), (1, 3)), ((0, 3),), ((1, 2),))
+    shared = table(((0, 1),), ((0, 3), (2, 3)), ((0, 2), (1, 3), (1, 2)))  # 01 and 03 both go to 03's class
+    outside = table(((0, 1), (0, 3)), ((2, 3), (0, 2), (1, 2), (1, 3)))  # 03 is its own dual, not in 23's class
+    for fake, holds in ((fine, True), (shared, False), (outside, False)):
+        monkeypatch.setattr(enumeration, "_class_table", lambda n, fake=fake: fake)
+        assert dual_class_check(2) is holds
 
 
 def test_dual_class_check_is_the_all_pairs_statement():
