@@ -231,7 +231,7 @@ class Permutation(_Value):
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
+        return cls(tuple(range(_check_size(n, MAX_SIDE, "permutation size must be"))))
 
     def __call__(self, i: int) -> int:
         if i.__class__ is not int:

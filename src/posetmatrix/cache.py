@@ -1,9 +1,9 @@
 """Small file-backed result cache for the class counts of `pm enumerate --emit counts`.
 
-Each entry is one JSON file carrying the key, the library version, the
-value, and a checksum of the value's canonical JSON form.  A corrupt,
-mismatched, or differently-versioned file is treated as a miss, so the
-worst failure mode is recomputation.
+Each entry is one JSON file, a single line, carrying the key, the
+library version, the value, and a checksum of the value's canonical JSON
+form.  A corrupt, mismatched, or differently-versioned file is treated
+as a miss, so the worst failure mode is recomputation.
 """
 
 from __future__ import annotations
@@ -63,8 +63,7 @@ class ResultCache:
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, indent=2)
-                fh.write("\n")
+                fh.write(json.dumps(entry) + "\n")  # one-shot dumps: json.dump and indent leave cycles for the collector
             os.replace(tmp, self._path(key))
         except BaseException:
             try:

@@ -102,32 +102,38 @@ def _search_tables(rows: tuple[int, ...]) -> tuple[list[int], list[int], list[in
     return preds, succs, [keys[pred] for pred in preds]
 
 
+def _twin_classes(preds: list[int], succs: list[int]) -> list[int]:
+    """Masks of the twin classes of two or more: elements with equal predecessor and successor sets."""
+    classes: dict[tuple[int, int], int] = {}
+    for e, key in enumerate(zip(preds, succs)):
+        classes[key] = classes.get(key, 0) | 1 << e
+    return [c for c in classes.values() if c & (c - 1)]
+
+
 def _blocks(preds: list[int], succs: list[int]) -> tuple[list[int], list[int], int]:
     """Blocker masks, unblock masks and the initial ready mask of a search over position assignments.
 
     An element is blocked by its predecessors and by its smaller twins
-    (elements with equal predecessor and successor sets), and a position
-    can take it once its blockers are placed; unblocks[e] holds the
-    elements e may be the last to block.  Twins are placed in element
-    order, so the largest smaller twin is the last to block one.
+    (_twin_classes), and a position can take it once its blockers are
+    placed; unblocks[e] holds the elements e may be the last to block.
+    Twins are placed in element order, so the next smaller twin is the
+    last to block one.
     """
     blockers = preds[:]
     unblocks = succs[:]
+    for c in _twin_classes(preds, succs):
+        members = _MEMBERS[c]
+        for smaller, e in zip(members, members[1:]):
+            blockers[e] |= c & (1 << e) - 1
+            unblocks[smaller] |= 1 << e
     ready = 0
-    twins_so_far: dict[tuple[int, int], int] = {}
-    for e, pred in enumerate(preds):
-        key = (pred, succs[e])
-        twins = twins_so_far.get(key, 0)
-        if twins:
-            blockers[e] |= twins
-            unblocks[twins.bit_length() - 1] |= 1 << e
-        elif not pred:
+    for e, blocker in enumerate(blockers):
+        if not blocker:
             ready |= 1 << e
-        twins_so_far[key] = twins | 1 << e
     return blockers, unblocks, ready
 
 
-def _least_order(preds: list[int], succs: list[int], keys: list[int], nodes: list[tuple[int, list[int]]] | None = None) -> list[int]:
+def _least_order(preds: list[int], succs: list[int], keys: list[int], nodes: list[tuple[int, int, list[int], int]] | None = None) -> list[int]:
     """A poset's elements in the order of its least relabelling, from their row keys.
 
     Search over position assignments: a position can take any element
@@ -154,25 +160,31 @@ def _least_order(preds: list[int], succs: list[int], keys: list[int], nodes: lis
     repeats, key for key, that of the smaller twin, which is searched
     earlier; blocking drops no key sequence and no first least leaf.
 
-    With nodes, a list, the search appends (placed mask, path[:k]) at each
-    node it enters, in depth-first order.  On a canonical form, which no
-    order undercuts, those are its tie tree: every prefix of a linear
-    extension, twins in element order, whose keys tie the form's.
+    On a canonical form, which no order undercuts, the nodes entered are
+    its tie tree: every prefix of a linear extension, twins in element
+    order, whose keys tie the form's.  With nodes, a list, the search
+    appends the ones _tie_verdict reads, as it leaves them: those that
+    end a path (leaves and dead ends) and those at depth n - 1.  Each is
+    (depth t, placed mask, bits, after): bits[e] is placed element e's
+    bit in a row key, so a new element's key at the node is the sum of
+    its predecessors' bits, and at depth n - 1, after is the carried key
+    of the one element left, which it takes last.
     """
     n = len(preds)
     top = 1 << n  # above every key
     blockers, unblocks, ready = _blocks(preds, succs)
     carried = [0] * n
     path = list(range(n))  # path[:k] is the order below the node at depth k
+    bits = [0] * n  # e placed at depth k has bit n-1-k; _tie_verdict reads placed elements only, so stale entries are never read
     best = path[:]
     lowered = False  # since the incumbent was last taken
 
     def walk(k: int, placed: int, ready: int) -> None:
         """Search below path[:k]."""
         nonlocal lowered
-        if nodes is not None:
-            nodes.append((placed, path[:k]))
         if k == n:
+            if nodes is not None:
+                nodes.append((n, placed, bits[:], 0))
             if lowered:
                 best[:] = path
                 lowered = False
@@ -186,9 +198,11 @@ def _least_order(preds: list[int], succs: list[int], keys: list[int], nodes: lis
             keys[k:] = [least] + [top] * (n - 1 - k)
             lowered = True
         bit = 1 << (n - 1 - k)
+        entered = False
         for e in members:
             if carried[e] != least:
                 continue
+            entered = True
             child_placed = placed | 1 << e
             child_ready = ready ^ 1 << e
             for s in _MEMBERS[unblocks[e]]:
@@ -198,9 +212,12 @@ def _least_order(preds: list[int], succs: list[int], keys: list[int], nodes: lis
             for s in successors:
                 carried[s] |= bit
             path[k] = e
+            bits[e] = bit
             walk(k + 1, child_placed, child_ready)
             for s in successors:
                 carried[s] ^= bit
+        if nodes is not None and (k == n - 1 or not entered):
+            nodes.append((k, placed, bits[:], carried[members[0]] if k == n - 1 else 0))
 
     walk(0, 0, ready)
     del walk  # walk reads itself through its closure cell; dropping it frees the search by reference counting
@@ -260,18 +277,22 @@ def _canonical_lasts(rows: tuple[int, ...]) -> tuple[int, ...]:
     last one is a smaller relabelling (D then misses the last element,
     whose down-set would give a larger key).  On a canonical form, whose
     keys never fall (_tie_verdict), no other insertion point rejects more.
-    The prefix's tie tree (_tie_verdict) decides most of the rest; a child
-    it cannot decide is canonical when its least relabelling is itself.
+    The prefix's tie tree decides most of the rest: the search on the form
+    alone records its deciding nodes (_least_order; the form is canonical,
+    so no key is lowered and the tables stay as they were), and
+    _tie_verdict reads them with the form's twin classes.  A child it
+    cannot decide is canonical when its least relabelling is itself.
     Keys here are on len(rows) columns: a child's keys on one more column
     are these doubled, so the comparisons agree.  The tree lives for this
     call.
     """
-    tables = _search_tables(rows)
-    keys = tables[2]
+    preds, succs, keys = _search_tables(rows)
     last = keys[-1] if keys else 0
     row_keys = _ROW_KEYS[len(rows)]
     top = 1 << len(rows)
-    nodes, twins = _tie_tree(tables)
+    nodes: list[tuple[int, int, list[int], int]] = []
+    _least_order(preds, succs, keys, nodes)
+    twins = _twin_classes(preds, succs)
     lasts = []
     for below in _down_sets(rows):
         key = row_keys[below]
@@ -286,44 +307,11 @@ def _canonical_lasts(rows: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(lasts)
 
 
-def _tie_tree(tables: tuple[list[int], list[int], list[int]]) -> tuple[list[tuple[int, int, list[int], int]], list[int]]:
-    """The deciding nodes of a canonical form's tie tree, given its _search_tables, and the masks of its twin classes of two or more.
-
-    The search on the form alone records the tree: the form is canonical,
-    so no key is lowered (the tables stay as they were), and its nodes are
-    the prefixes of linear extensions, twins in element order, whose keys
-    tie the form's.  _tie_verdict needs only the nodes that end a path
-    (leaves and dead ends) and those at depth len(rows) - 1.  Each is
-    (depth t, placed mask, bits, after): bits[e] is placed element e's bit
-    in a row key on len(rows) columns, so the new element's key at the
-    node is the sum of its predecessors' bits, and at depth len(rows) - 1,
-    after is the key the one element left would take last.
-    """
-    preds, succs, keys = tables
-    m = len(preds)
-    found: list[tuple[int, list[int]]] = []
-    _least_order(preds, succs, keys, found)
-    depths = [len(order) for _, order in found]
-    nodes = []
-    for (placed, order), t, next_t in zip(found, depths, depths[1:] + [0]):
-        if t < m - 1 and next_t > t:
-            continue  # its first child follows it
-        bits = [0] * m
-        for pos, e in enumerate(order):
-            bits[e] = 1 << (m - 1 - pos)
-        after = 0
-        if t == m - 1:
-            left = ((1 << m) - 1 ^ placed).bit_length() - 1
-            after = sum([bits[j] for j in _MEMBERS[preds[left]]])
-        nodes.append((t, placed, bits, after))
-    classes: dict[tuple[int, int], int] = {}
-    for e, pred in enumerate(preds):
-        classes[pred, succs[e]] = classes.get((pred, succs[e]), 0) | 1 << e
-    return nodes, [c for c in classes.values() if c & (c - 1)]
-
-
 def _tie_verdict(nodes: list[tuple[int, int, list[int], int]], twins: list[int], keys: list[int], below: int, key: int) -> bool | None:
-    """Whether rows + (below | top,) is canonical, from the prefix's _tie_tree; None where the tree cannot tell.
+    """Whether rows + (below | top,) is canonical, from the prefix's tie tree; None where the tree cannot tell.
+
+    nodes are the deciding nodes of the tie tree that _least_order records
+    on rows, in any order, and twins the masks of rows's _twin_classes.
 
     Every order of the child places the new element x at some depth t
     after a prefix order of rows.  If that prefix does not tie rows's
@@ -343,11 +331,12 @@ def _tie_verdict(nodes: list[tuple[int, int, list[int], int]], twins: list[int],
     the keys of a canonical form never fall (element t + 1 would
     otherwise go before t, or holds t and so every predecessor of t).  So
     the deepest node of a path below the last depth decides for the nodes
-    above it, and _tie_tree keeps only those and the leaves.  A tie at
-    depth len(rows) - 1 leaves one element to follow x, whose key, after,
-    is compared with key; unless the last two keys of rows are equal, as
-    then the tie may start higher up.  Any other tie leaves the rest of
-    the order to decide: None, for the child's least relabelling.
+    above it, and the search records only those, the nodes at depth
+    len(rows) - 1 and the leaves.  A tie at depth len(rows) - 1 leaves
+    one element to follow x, whose key, after, is compared with key;
+    unless the last two keys of rows are equal, as then the tie may start
+    higher up.  Any other tie leaves the rest of the order to decide:
+    None, for the child's least relabelling.
     """
     m = len(keys)
     split = []

@@ -56,6 +56,7 @@ def support_poset_matrix(n: int) -> BoolMatrix:
     Deliberately independent of pascal_matrix: supports are materialized as
     frozensets and compared with issubset rather than with bit arithmetic.
     """
+    (n,) = _integer_entries((n,), "support poset sides")
     if not 1 <= n <= MAX_SIDE:
         raise ValueError(f"support poset side must be in [1, {MAX_SIDE}], got {n}")
     supports = [frozenset(p for p in range(6) if t >> p & 1) for t in range(n)]

@@ -50,7 +50,7 @@ from posetmatrix.ideals import (
     iter_ideals,
     principal_ideal,
 )
-from posetmatrix.pascal import lucas_entry, pascal_matrix, support
+from posetmatrix.pascal import lucas_entry, pascal_matrix, support, support_poset_matrix
 from posetmatrix.posetcore import MAX_EMBED_LOG, dual_index, embed, even_odd_moves, is_self_dual_index, realize, validate
 
 
@@ -448,6 +448,8 @@ class Size:
 SIZE_ENTRY_POINTS = {
     "BoolMatrix": (lambda n: BoolMatrix(n, (1, 3)), MAX_SIDE, 2),
     "identity": (identity, MAX_SIDE, 3),
+    "Permutation.identity": (Permutation.identity, MAX_SIDE, 3),
+    "support_poset_matrix": (support_poset_matrix, None, 3),
     "pascal_matrix": (pascal_matrix, MAX_SIDE, 5),
     "enumerate_poset_matrices": (lambda n: list(enumerate_poset_matrices(n)), MAX_ENUM_SIDE, 3),
     "count_poset_matrices": (count_poset_matrices, MAX_CLASS_SIDE, 4),

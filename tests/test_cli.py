@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -456,8 +457,42 @@ def test_cache_round_trip(tmp_path, capsys):
     first = run_cli(capsys, *COUNTS_3, "--cache-dir", cache_dir)
     files = list((tmp_path / "cache").iterdir())
     assert len(files) == 1 and files[0].name == "enumerate-n-3-emit-counts.json"
+    assert files[0].read_text().count("\n") == 1  # one-line JSON
     second = run_cli(capsys, *COUNTS_3, "--cache-dir", cache_dir)
     assert first.out == second.out == COUNTS_3_TEXT
+
+
+def test_indented_cache_entries_still_hit(tmp_path, capsys, monkeypatch):
+    # entries were written with indent=2 before they were one line; those files must still be read
+    from posetmatrix import __version__, cli
+    from posetmatrix.cache import _checksum
+
+    value = {"poset_matrices": 7, "isomorphism_classes": 5}
+    entry = {"key": "enumerate:n=3:emit=counts", "version": __version__, "value": value, "checksum": _checksum(value)}
+    (tmp_path / "enumerate-n-3-emit-counts.json").write_text(json.dumps(entry, indent=2) + "\n")
+
+    def compute(n):
+        raise AssertionError("a hit must not compute")
+
+    monkeypatch.setattr(cli, "_counts", compute)
+    assert run_cli(capsys, *COUNTS_3, "--cache-dir", str(tmp_path)).out == COUNTS_3_TEXT
+
+
+def test_cache_put_leaves_no_cyclic_garbage(tmp_path):
+    # json.dump with indent=2 built recursive closures: 33 objects for the collector per write
+    from posetmatrix.cache import ResultCache
+
+    cache = ResultCache(str(tmp_path))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for n in range(10):
+            cache.put(f"k{n}", {"poset_matrices": n, "isomorphism_classes": n})
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_cache_corruption_recomputes(tmp_path, capsys):

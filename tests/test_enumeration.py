@@ -503,12 +503,72 @@ def test_identity_least_order_matches_full_search_on_every_side_8_child():
     assert canonical == A000112[8]
 
 
+def recorded_tie_tree(rows):
+    """The deciding nodes that the search records on a canonical form, and the form's twin classes of two or more."""
+    preds, succs, keys = enumeration._search_tables(rows)
+    nodes = []
+    enumeration._least_order(preds, succs, keys, nodes)
+    return nodes, enumeration._twin_classes(preds, succs)
+
+
+def reference_tie_tree(rows):
+    """The deciding nodes of a canonical form's tie tree by brute force, sorted, each (depth, placed mask, placed bits, after).
+
+    A node is a prefix of a linear extension, twins in element order, whose
+    keys tie the form's; it is kept when no node extends it or it lies at
+    depth m - 1 or m.  Its placed bits hold 1 << (m-1-p) for the element at
+    position p and 0 for each unplaced one; after, at depth m - 1, is the
+    key of the element left.
+    """
+    m = len(rows)
+    preds, succs, keys = search_tables(rows)
+    smaller_twins = [[f for f in range(e) if (preds[f], succs[f]) == (preds[e], succs[e])] for e in range(m)]
+
+    def bits_of(order):
+        return [1 << (m - 1 - order.index(e)) if e in order else 0 for e in range(m)]
+
+    def ties(order):
+        e = order[-1]
+        bits = bits_of(order[:-1])
+        return (
+            all(bits[j] for j in range(m) if preds[e] >> j & 1)
+            and all(bits[f] for f in smaller_twins[e])
+            and sum(bits[j] for j in range(m) if preds[e] >> j & 1) == keys[len(order) - 1]
+        )
+
+    kept = []
+    stack = [[]]
+    while stack:
+        order = stack.pop()
+        children = [order + [e] for e in range(m) if e not in order and ties(order + [e])]
+        stack += children
+        t = len(order)
+        if children and t < m - 1:
+            continue
+        bits = bits_of(order)
+        after = 0
+        if t == m - 1:
+            (left,) = set(range(m)) - set(order)
+            after = sum(bits[j] for j in range(m) if preds[left] >> j & 1)
+        kept.append((t, sum(1 << e for e in order), tuple(bits), after))
+    return sorted(kept)
+
+
+def test_recorded_tie_tree_matches_the_brute_force_tree():
+    forms = [rows for n in range(8) for rows in class_forms(n)]
+    assert len(forms) == 2451
+    for rows in forms:
+        nodes, _ = recorded_tie_tree(rows)
+        placed_only = sorted((t, placed, tuple(b if placed >> e & 1 else 0 for e, b in enumerate(bits)), after) for t, placed, bits, after in nodes)
+        assert placed_only == reference_tie_tree(rows), rows
+
+
 def test_deciding_children_leaves_the_prefix_tables_as_they_were():
-    # the search lowers its keys in place, so on a canonical form the tie tree must lower none
+    # the search lowers its keys in place, so on a canonical form recording the tie tree must lower none
     for n in range(7):
         for rows in class_forms(n):
             tables = enumeration._search_tables(rows)
-            enumeration._tie_tree(tables)
+            enumeration._least_order(*tables, [])
             assert tables == enumeration._search_tables(rows), rows
 
 
@@ -569,7 +629,7 @@ def test_tie_tree_leaves_count_the_automorphisms():
     forms = [rows for n in range(7) for rows in class_forms(n)]
     assert len(forms) == 406
     for rows in forms:
-        nodes, twins = enumeration._tie_tree(enumeration._search_tables(rows))
+        nodes, twins = recorded_tie_tree(rows)
         leaves = sum(t == len(rows) for t, *_ in nodes)
         swaps = 1
         for c in twins:
